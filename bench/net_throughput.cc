@@ -1,8 +1,8 @@
 // Loopback-socket serving throughput bench: the service_throughput batch
 // pushed through the real net stack. Four concurrent clients pipeline a
-// deterministic mixed-backend request stream over TCP into the poll-based
-// Server + JobScheduler front-end (the same composition qplex_serve --listen
-// runs), and read their responses back.
+// deterministic mixed-backend request stream over TCP into svc::FrontEnd
+// over a svc::SocketSource — the serving front-end qplex_serve --listen
+// ships — and read their responses back.
 //
 // Captured counters are deterministic by construction: every request is
 // unique (no cache, distinct seeds per client), so connection counts, parsed
@@ -15,8 +15,6 @@
 #include <atomic>
 #include <cstdint>
 #include <iostream>
-#include <map>
-#include <poll.h>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,8 +29,8 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "svc/front_end.h"
 #include "svc/registry.h"
-#include "svc/request.h"
 #include "svc/scheduler.h"
 
 namespace qplex {
@@ -69,9 +67,10 @@ std::vector<std::string> ClientRequests(int client) {
 }
 
 /// One blocking pipeline client: connect, write every request, read every
-/// response, accumulate the solution sizes.
+/// response, accumulate the solution sizes, hang up.
 void RunClient(int client, int port, std::atomic<std::int64_t>* responses,
-               std::atomic<std::int64_t>* total_size) {
+               std::atomic<std::int64_t>* total_size,
+               std::atomic<int>* finished) {
   const Result<int> fd = net::ConnectLoopback(port);
   QPLEX_CHECK(fd.ok()) << fd.status().ToString();
   std::string burst;
@@ -107,6 +106,7 @@ void RunClient(int client, int port, std::atomic<std::int64_t>* responses,
     QPLEX_CHECK(splitter.Feed(std::string_view(buffer, got.bytes)).ok());
   }
   net::CloseFd(fd.value());
+  finished->fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -129,76 +129,47 @@ int main() {
   scheduler_options.enable_cache = false;
   scheduler_options.queue_capacity = 2 * kClients * kRequestsPerClient;
   svc::JobScheduler scheduler(&registry, scheduler_options);
-
-  struct Route {
-    std::uint64_t conn;
-    std::string label;
-  };
-  std::map<svc::JobId, Route> outstanding;
-  net::Server* server_ptr = nullptr;
-  int line_number = 0;
+  svc::FrontEnd front_end(&scheduler, scheduler_options.queue_capacity,
+                          /*shed_target_ms=*/0, /*journal=*/nullptr);
 
   net::ServerOptions server_options;
   server_options.port = 0;
   server_options.max_connections = kClients;
-  net::ServerCallbacks callbacks;
-  callbacks.on_line = [&](std::uint64_t conn, std::string line) {
-    const Result<svc::RequestSpec> spec =
-        svc::ParseRequestLine(line, ++line_number);
-    QPLEX_CHECK(spec.ok()) << spec.status().ToString();
-    const Result<svc::JobId> id = scheduler.Submit(spec.value().request);
-    QPLEX_CHECK(id.ok()) << id.status().ToString();
-    outstanding.emplace(id.value(),
-                        Route{conn, spec.value().request.label});
-  };
-  callbacks.on_close = [](std::uint64_t) {};
-  callbacks.on_protocol_error = [](std::uint64_t, const Status& violation) {
-    QPLEX_CHECK(false) << violation.ToString();
-  };
-  Result<std::unique_ptr<net::Server>> server =
-      net::Server::Create(server_options, std::move(callbacks));
-  QPLEX_CHECK(server.ok()) << server.status().ToString();
-  server_ptr = server.value().get();
+  Result<std::unique_ptr<svc::SocketSource>> source =
+      svc::SocketSource::Create(server_options, &front_end);
+  QPLEX_CHECK(source.ok()) << source.status().ToString();
+  const net::Server& server = source.value()->server();
 
   std::atomic<std::int64_t> responses{0};
   std::atomic<std::int64_t> total_size{0};
+  std::atomic<int> finished{0};
   Stopwatch watch;
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back(RunClient, c, server_ptr->port(), &responses,
-                         &total_size);
+    clients.emplace_back(RunClient, c, server.port(), &responses, &total_size,
+                         &finished);
   }
-
-  const std::int64_t expected =
-      static_cast<std::int64_t>(kClients) * kRequestsPerClient;
-  std::int64_t sent = 0;
-  while (sent < expected || server_ptr->active_connections() > 0 ||
-         server_ptr->has_queued_writes()) {
-    QPLEX_CHECK(server_ptr->Poll(2).ok());
-    std::vector<svc::JobId> ids;
-    ids.reserve(outstanding.size());
-    for (const auto& [id, route] : outstanding) {
-      ids.push_back(id);
-    }
-    for (const svc::JobId id : ids) {
-      svc::SolveResponse response;
-      if (!scheduler.TryWait(id, &response)) {
-        continue;
-      }
-      QPLEX_CHECK(response.status.ok()) << response.status.ToString();
-      const Route route = outstanding.at(id);
-      outstanding.erase(id);
-      server_ptr->Send(route.conn,
-                       svc::RenderResponseLine(route.label, response) + "\n");
-      ++sent;
-    }
-    server_ptr->FlushWritable();
-  }
+  // The timed run ends once every client has its answers and the server has
+  // seen every hang-up; the front-end then drains like a SIGTERM would.
+  double wall_seconds = 0;
+  const Result<svc::ServeOutcome> served =
+      front_end.Run(source.value().get(), [&] {
+        if (wall_seconds == 0 && finished.load() == kClients &&
+            server.active_connections() == 0) {
+          wall_seconds = watch.ElapsedSeconds();
+        }
+        return wall_seconds > 0;
+      });
+  QPLEX_CHECK(served.ok()) << served.status().ToString();
+  QPLEX_CHECK(served.value().failures == 0 && served.value().malformed == 0)
+      << served.value().failures << " failed, " << served.value().malformed
+      << " malformed";
   for (std::thread& client : clients) {
     client.join();
   }
-  const double wall_seconds = watch.ElapsedSeconds();
+  const std::int64_t expected =
+      static_cast<std::int64_t>(kClients) * kRequestsPerClient;
 
   obs::MetricsRegistry::Global()
       .GetCounter("bench.responses.received")

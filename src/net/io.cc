@@ -184,4 +184,29 @@ Result<int> ConnectLoopback(int port) {
   return fd;
 }
 
+Result<std::string> SlurpFile(const std::string& path) {
+  int fd = 0;  // stdin
+  if (path != "-") {
+    do {
+      fd = ::open(path.c_str(), O_RDONLY);
+    } while (fd < 0 && errno == EINTR);
+    if (fd < 0) {
+      return Status::NotFound("cannot open file: " + path);
+    }
+  }
+  std::string text;
+  char buffer[64 * 1024];
+  IoResult got;
+  while ((got = ReadFd(fd, buffer, sizeof(buffer))).state == IoState::kOk) {
+    text.append(buffer, got.bytes);
+  }
+  if (path != "-") {
+    CloseFd(fd);
+  }
+  if (got.state != IoState::kClosed) {
+    return Status::Internal("read failed on " + path);
+  }
+  return text;
+}
+
 }  // namespace qplex::net

@@ -80,6 +80,10 @@ Result<int> ListenLoopback(int port, int* bound_port);
 /// Blocking loopback connect for the client side.
 Result<int> ConnectLoopback(int port);
 
+/// Reads a whole file ("-" = stdin) through ReadFd, so a signal landing
+/// mid-read retries instead of truncating the input.
+Result<std::string> SlurpFile(const std::string& path);
+
 }  // namespace qplex::net
 
 #endif  // QPLEX_NET_IO_H_

@@ -7,7 +7,8 @@
 /// Cong & Zhou, ICDE 2024), together with every substrate they run on.
 ///
 /// Modules:
-///   common/    Status/Result error model, PRNG, stopwatch, table printing
+///   common/    Status/Result error model, PRNG, stopwatch, table printing,
+///              strict flag parsing
 ///   obs/       observability: metrics registry, trace spans, JSON run reports
 ///   graph/     graphs, k-plex predicates, generators, IO, named instances
 ///   quantum/   circuit IR + basis-state and state-vector simulators
@@ -26,7 +27,8 @@
 ///              taxonomy
 ///   svc/       solver service layer: unified backend registry, bounded job
 ///              scheduler with portfolio racing, retry/fallback resilience,
-///              instance result cache
+///              instance result cache, the serving front-end (admission,
+///              backlog, completion drain, admission-order journal)
 ///   net/       poll-based TCP/JSONL serving: EINTR-safe socket wrappers,
 ///              newline framing, coalescing write buffers, the
 ///              single-threaded multiplexed server event loop
@@ -47,6 +49,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
+#include "common/flags.h"
 #include "common/table.h"
 #include "embed/hardware.h"
 #include "embed/minor_embedding.h"
@@ -94,6 +97,7 @@
 #include "net/io.h"
 #include "net/server.h"
 #include "svc/cache.h"
+#include "svc/front_end.h"
 #include "svc/graph_hash.h"
 #include "svc/registry.h"
 #include "svc/request.h"

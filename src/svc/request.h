@@ -37,11 +37,17 @@ struct RequestSpec {
   std::vector<std::string> backends;  ///< empty = single request.backend
 };
 
+/// True for blank lines and '#' comments, which every ingress path skips
+/// before parsing (and before counting the line).
+bool IsBlankOrComment(const std::string& line);
+
 /// Parses one request line. `line_number` is woven into every error message
 /// (batch mode counts file lines; socket mode counts lines per connection),
 /// so both modes reject a malformed line with the same text for the same
-/// position. Blank lines and '#' comments are the *caller's* concern — this
-/// function expects a non-empty candidate request.
+/// position. Every field is type-checked and every narrowing cast is
+/// range-checked, so a bad value is an InvalidArgument naming the field,
+/// never an abort or a wrapped number. Blank lines and '#' comments are the
+/// *caller's* concern — this function expects a non-empty candidate request.
 Result<RequestSpec> ParseRequestLine(const std::string& text, int line_number);
 
 /// Solution members as the space-joined vertex list used by journal lines,

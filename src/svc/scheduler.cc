@@ -168,9 +168,8 @@ SolveResponse JobScheduler::Wait(JobId id) {
   SolveResponse merged;
   {
     // The job stays in jobs_ until the wait completes so that Cancel() keeps
-    // working on a job that is being waited on — qplex_serve's signal
-    // handler cancels in-flight jobs exactly while the batch loop blocks
-    // here.
+    // working on a job that is being waited on — another thread may cancel
+    // it exactly while this one blocks here.
     std::unique_lock<std::mutex> lock(job->mutex);
     if (job->consumed) {
       SolveResponse response;

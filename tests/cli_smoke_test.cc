@@ -157,6 +157,8 @@ TEST(CliSmokeTest, RejectsMalformedNumericFlags) {
   EXPECT_EQ(RunCli(base + " --k"), 2);  // missing value
   EXPECT_EQ(RunCli(base + " --threads 0"), 2);
   EXPECT_EQ(RunCli(base + " --threads junk"), 2);
+  EXPECT_EQ(RunCli(base + " --k ' 2'"), 2);
+  EXPECT_EQ(RunCli(base + " --k +2"), 2);
 }
 
 TEST(CliSmokeTest, SolvesWithoutMetricsFlagUnchanged) {

@@ -240,6 +240,8 @@ TEST(ObsToolTest, UsageErrorsExitTwoIoErrorsExitThree) {
   EXPECT_EQ(RunObs(""), 2);                              // --events required
   EXPECT_EQ(RunObs("--events x --slo out.txt"), 2);      // --slo needs --slo-ms
   EXPECT_EQ(RunObs("--events x --slo-ms junk"), 2);
+  EXPECT_EQ(RunObs("--events x --slo-ms nan"), 2);
+  EXPECT_EQ(RunObs("--events x --slo-ms ' 5'"), 2);
   EXPECT_EQ(RunObs("--events x --unknown-flag"), 2);
   // Unreadable inputs: exit 3, distinct from both usage and validation.
   EXPECT_EQ(RunObs("--events /nonexistent/events.jsonl"), 3);

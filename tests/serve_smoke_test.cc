@@ -358,6 +358,12 @@ TEST(ServeSmokeTest, MalformedInputsExitTwo) {
   EXPECT_EQ(RunServe("--jobs x --workers 0"), 2);
   EXPECT_EQ(RunServe("--jobs x --workers junk"), 2);
   EXPECT_EQ(RunServe("--jobs x --cache maybe"), 2);
+  // Strict flag numbers: NaN would silently disable SLO accounting, and a
+  // leading space is not part of a number.
+  EXPECT_EQ(RunServe("--jobs x --slo-ms nan"), 2);
+  EXPECT_EQ(RunServe("--jobs x --slo-ms inf"), 2);
+  EXPECT_EQ(RunServe("--jobs x --watchdog-stall-ms ' 5'"), 2);
+  EXPECT_EQ(RunServe("--jobs x --queue-cap +5"), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -476,10 +482,10 @@ TEST(ServeChaosTest, SigtermThenResumeReplaysToByteIdenticalJournal) {
 }
 #endif  // !_WIN32
 
-TEST(ServeChaosTest, AdmissionBackoffAbsorbsQueuePressure) {
+TEST(ServeChaosTest, BacklogAbsorbsQueuePressure) {
   // One worker, queue capacity 1: most submissions bounce off the admission
-  // bound. The serve loop must absorb every rejection with backoff + drain
-  // (exit 0, all jobs solved) and record the waits it imposed.
+  // bound. The front-end's backlog must absorb every rejection, resubmitting
+  // as completions drain (exit 0, all jobs solved).
   const std::filesystem::path jobs = TempDir() / "pressure_batch.jsonl";
   {
     std::ofstream out(jobs);
@@ -506,11 +512,6 @@ TEST(ServeChaosTest, AdmissionBackoffAbsorbsQueuePressure) {
   ASSERT_NE(counters, nullptr);
   ASSERT_NE(counters->Find("svc.jobs.rejected"), nullptr);
   EXPECT_GE(counters->Find("svc.jobs.rejected")->AsInt(), 1);
-  const obs::JsonValue* histograms = parsed.value().Find("histograms");
-  ASSERT_NE(histograms, nullptr);
-  const obs::JsonValue* backoff = histograms->Find("svc.admission.backoff_ms");
-  ASSERT_NE(backoff, nullptr);
-  EXPECT_GE(backoff->Find("count")->AsInt(), 1);
 }
 
 }  // namespace

@@ -268,12 +268,20 @@ TEST(ServeSocketTest, MalformedLineEarnsErrorAndConnectionSurvives) {
   ASSERT_TRUE(fd.ok()) << fd.status();
   net::FrameSplitter splitter;
 
-  ASSERT_TRUE(SendAll(fd.value(), "this is not json\n").ok());
-  Result<std::string> error = ReadLine(fd.value(), splitter);
-  ASSERT_TRUE(error.ok()) << error.status();
-  Result<obs::JsonValue> parsed = obs::JsonValue::Parse(error.value());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().Find("status")->AsString(), "InvalidArgument");
+  // Unparseable JSON, and well-formed JSON whose field has the wrong type:
+  // neither may take the server down.
+  Result<obs::JsonValue> parsed = Status::Internal("unset");
+  for (const std::string& bad :
+       {std::string("this is not json\n"),
+        std::string("{\"id\":\"a\",\"k\":\"x\",\"graph\":") + kBlockGraph +
+            "}\n"}) {
+    ASSERT_TRUE(SendAll(fd.value(), bad).ok());
+    Result<std::string> error = ReadLine(fd.value(), splitter);
+    ASSERT_TRUE(error.ok()) << error.status();
+    parsed = obs::JsonValue::Parse(error.value());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value().Find("status")->AsString(), "InvalidArgument");
+  }
 
   // The connection survives a malformed request: the next valid one solves.
   ASSERT_TRUE(
@@ -435,6 +443,20 @@ TEST(ServeSocketTest, SigtermDrainsInFlightResponsesBeforeExit) {
             std::set<std::string>(expected.begin(), expected.end()));
   EXPECT_EQ(Labels(ReadFile(dir / "journal.jsonl")), expected);
   net::CloseFd(fd.value());
+}
+
+TEST(ServeSocketTest, ClientRejectsMalformedFlagValues) {
+  const std::filesystem::path dir = TempDir("client_flags");
+  ServeProcess serve(dir);
+  ASSERT_GT(serve.port(), 0) << ReadFile(dir / "serve.err");
+  const std::string base = "--port " + std::to_string(serve.port()) +
+                           " --requests " + WriteRequests(dir, 1).string() +
+                           " --out " + (dir / "out.jsonl").string();
+  EXPECT_EQ(RunClient(base + " --request-timeout-ms 5000"), 0);
+  EXPECT_EQ(RunClient(base + " --request-timeout-ms +5"), 2);
+  EXPECT_EQ(RunClient(base + " --request-timeout-ms ' 5'"), 2);
+  EXPECT_EQ(RunClient(base + " --request-timeout-ms 5x"), 2);
+  EXPECT_EQ(serve.Stop(), 0);
 }
 
 TEST(ServeSocketTest, ListenAndJobsFlagsAreExclusive) {

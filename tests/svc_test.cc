@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,8 +35,10 @@
 #include "resilience/fault_injection.h"
 #include "resilience/retry.h"
 #include "svc/cache.h"
+#include "svc/front_end.h"
 #include "svc/graph_hash.h"
 #include "svc/registry.h"
+#include "svc/request.h"
 #include "svc/scheduler.h"
 #include "svc/solver.h"
 
@@ -77,6 +80,68 @@ TEST(GraphHashTest, VertexCountMatters) {
   const Graph small = MakeGraph(3, {{0, 1}}).value();
   const Graph padded = MakeGraph(4, {{0, 1}}).value();
   EXPECT_NE(CanonicalGraphHash(small), CanonicalGraphHash(padded));
+}
+
+// ---------------------------------------------------------------------------
+// Request parsing: every field is type- and range-checked, and a bad value is
+// a per-request InvalidArgument naming the field and the line.
+
+constexpr const char* kTinyGraph = R"("graph":{"n":2,"edges":[[0,1]]})";
+
+/// Expects `line` to be rejected with InvalidArgument naming `field`.
+void ExpectFieldRejected(const std::string& line, const std::string& field) {
+  const Result<RequestSpec> parsed = ParseRequestLine(line, 7);
+  ASSERT_FALSE(parsed.ok()) << line;
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  const std::string& message = parsed.status().message();
+  EXPECT_EQ(message.rfind(field + " ", 0), 0u) << message;
+  EXPECT_NE(message.find("at line 7"), std::string::npos) << message;
+}
+
+TEST(RequestParseTest, ParsesWellTypedFields) {
+  const Result<RequestSpec> parsed = ParseRequestLine(
+      std::string(R"({"id":42,"k":3,"seed":9,"deadline_ms":250,)") +
+          R"("backends":["bs","enum"],)" + kTinyGraph + "}",
+      1);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed.value().request.label, "42");
+  EXPECT_EQ(parsed.value().request.k, 3);
+  EXPECT_EQ(parsed.value().request.seed, 9u);
+  EXPECT_DOUBLE_EQ(parsed.value().request.deadline_seconds, 0.25);
+  EXPECT_EQ(parsed.value().backends,
+            (std::vector<std::string>{"bs", "enum"}));
+  EXPECT_EQ(parsed.value().request.graph.num_vertices(), 2);
+}
+
+TEST(RequestParseTest, RejectsMistypedFields) {
+  const std::string graph = kTinyGraph;
+  ExpectFieldRejected(R"({"id":{"x":1},)" + graph + "}", "id");
+  ExpectFieldRejected(R"({"id":1.5,)" + graph + "}", "id");
+  ExpectFieldRejected(R"({"k":"x",)" + graph + "}", "k");
+  ExpectFieldRejected(R"({"k":2.5,)" + graph + "}", "k");
+  ExpectFieldRejected(R"({"seed":"7",)" + graph + "}", "seed");
+  ExpectFieldRejected(R"({"deadline_ms":"soon",)" + graph + "}",
+                      "deadline_ms");
+  ExpectFieldRejected(R"({"backend":3,)" + graph + "}", "backend");
+  ExpectFieldRejected(R"({"backends":["bs",4],)" + graph + "}",
+                      "backends[1]");
+  ExpectFieldRejected(R"({"graph":{"n":"2"}})", "graph.n");
+  ExpectFieldRejected(R"({"graph":{"n":2,"edges":[[0,"1"]]}})",
+                      "graph.edges[0]");
+}
+
+TEST(RequestParseTest, RejectsValuesThatWouldNarrowOrWrap) {
+  const std::string graph = kTinyGraph;
+  ExpectFieldRejected(R"({"k":4294967298,)" + graph + "}", "k");
+  ExpectFieldRejected(R"({"k":-1,)" + graph + "}", "k");
+  ExpectFieldRejected(R"({"seed":-1,)" + graph + "}", "seed");
+  ExpectFieldRejected(R"({"graph":{"n":4294967298}})", "graph.n");
+  ExpectFieldRejected(R"({"graph":{"n":-1}})", "graph.n");
+  // Wrapped to 32 bits this endpoint would alias the edge (0,1).
+  ExpectFieldRejected(R"({"graph":{"n":2,"edges":[[0,4294967297]]}})",
+                      "graph.edges[0]");
+  ExpectFieldRejected(R"({"graph":{"n":2,"edges":[[-1,0]]}})",
+                      "graph.edges[0]");
 }
 
 TEST(GraphHashTest, CacheKeyCoversRequestFields) {
@@ -1061,6 +1126,74 @@ TEST_F(SchedulerTest, SeededChaosRunYieldsConnectedByteIdenticalTraces) {
   // Structural span ids + deterministic single-worker scheduling: the whole
   // reconstructed forest renders byte-identically across same-seed runs.
   EXPECT_EQ(first, second) << first;
+}
+
+// ---------------------------------------------------------------------------
+// FrontEnd: the serving path shared by batch and socket modes.
+
+/// Hands every scripted line to the front-end on the first poll and keeps
+/// the response lines it is sent.
+class ScriptedSource : public LineSource {
+ public:
+  ScriptedSource(std::vector<std::string> lines, FrontEnd* front_end)
+      : lines_(std::move(lines)), front_end_(front_end) {}
+
+  Status Poll(int timeout_ms) override {
+    if (exhausted()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(timeout_ms));
+    }
+    for (; next_ < lines_.size(); ++next_) {
+      front_end_->OnLine(/*conn=*/1, lines_[next_]);
+    }
+    return Status::Ok();
+  }
+  bool exhausted() const override { return next_ == lines_.size(); }
+  void Stop() override {}
+  void Send(std::uint64_t /*conn*/, std::string line) override {
+    sent.push_back(std::move(line));
+  }
+
+  std::vector<std::string> sent;
+
+ private:
+  std::vector<std::string> lines_;
+  std::size_t next_ = 0;
+  FrontEnd* front_end_;
+};
+
+TEST(FrontEndTest, PortfolioWiderThanTheQueueIsAnsweredNotParked) {
+  // A portfolio racing more backends than the admission queue holds can
+  // never be admitted. It must get an error answer instead of sitting at
+  // the head of the backlog ahead of every later request.
+  const SolverRegistry registry = MakeBuiltinRegistry();
+  JobSchedulerOptions options;
+  options.num_workers = 1;
+  options.queue_capacity = 1;
+  JobScheduler scheduler(&registry, options);
+  std::ostringstream journal;
+  FrontEnd front_end(&scheduler, /*backlog_capacity=*/4,
+                     /*shed_target_ms=*/0, &journal);
+  const std::string graph = R"("graph":{"n":3,"edges":[[0,1],[1,2]]})";
+  ScriptedSource source(
+      {R"({"id":"wide","k":1,"backends":["bs","enum"],)" + graph + "}",
+       R"({"id":"next","k":1,"backend":"bs",)" + graph + "}"},
+      &front_end);
+  const Result<ServeOutcome> outcome =
+      front_end.Run(&source, [] { return false; });
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(outcome.value().requests, 2);
+  EXPECT_EQ(outcome.value().responses, 1);
+  EXPECT_EQ(outcome.value().failures, 1);
+  ASSERT_EQ(source.sent.size(), 2u);
+  EXPECT_NE(
+      source.sent[0].find(R"("label":"wide","status":"ResourceExhausted")"),
+      std::string::npos)
+      << source.sent[0];
+  EXPECT_NE(source.sent[1].find(R"("label":"next","status":"OK")"),
+            std::string::npos)
+      << source.sent[1];
+  // Only admitted work is journaled.
+  EXPECT_EQ(journal.str(), source.sent[1]);
 }
 
 }  // namespace

@@ -36,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/status.h"
 #include "common/table.h"
 #include "obs/json.h"
@@ -530,30 +531,13 @@ void PrintUsage() {
 
 Result<DiffOptions> ParseArgs(int argc, char** argv) {
   DiffOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument("missing value for " + arg);
-      }
-      return std::string(argv[++i]);
-    };
-    if (arg == "--baseline") {
-      QPLEX_ASSIGN_OR_RETURN(options.baseline, next());
-    } else if (arg == "--candidate") {
-      QPLEX_ASSIGN_OR_RETURN(options.candidate, next());
-    } else if (arg == "--config") {
-      QPLEX_ASSIGN_OR_RETURN(options.config, next());
-    } else if (arg == "--format") {
-      QPLEX_ASSIGN_OR_RETURN(options.format, next());
-    } else if (arg == "--all") {
-      options.show_all = true;
-    } else if (arg == "--help" || arg == "-h") {
-      return Status::InvalidArgument("help requested");
-    } else {
-      return Status::InvalidArgument("unknown flag: " + arg);
-    }
-  }
+  FlagParser flags;
+  flags.String("--baseline", &options.baseline);
+  flags.String("--candidate", &options.candidate);
+  flags.String("--config", &options.config);
+  flags.String("--format", &options.format);
+  flags.Switch("--all", &options.show_all);
+  QPLEX_RETURN_IF_ERROR(flags.Parse(argc, argv));
   if (options.baseline.empty() || options.candidate.empty()) {
     return Status::InvalidArgument("--baseline and --candidate are required");
   }

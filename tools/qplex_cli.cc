@@ -17,7 +17,6 @@
 // state-vector kernels of the quantum solvers (qmkp); results are
 // bit-identical for any thread count.
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -59,88 +58,28 @@ void PrintUsage() {
                "[--max-sim-bytes <int>]\n";
 }
 
-/// Strict whole-string integer parse into `T`; rejects trailing junk,
-/// overflow, and empty input with InvalidArgument instead of throwing.
-template <typename T>
-Result<T> ParseInt(const std::string& flag, const std::string& value) {
-  T parsed{};
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-  if (ec != std::errc{} || ptr != end || value.empty()) {
-    return Status::InvalidArgument("bad integer for " + flag + ": '" + value +
-                                   "'");
-  }
-  return parsed;
-}
-
 Result<CliOptions> ParseArgs(int argc, char** argv) {
   CliOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument("missing value for " + arg);
-      }
-      return std::string(argv[++i]);
-    };
-    if (arg == "--input") {
-      QPLEX_ASSIGN_OR_RETURN(options.input, next());
-    } else if (arg == "--format") {
-      QPLEX_ASSIGN_OR_RETURN(options.format, next());
-    } else if (arg == "--algorithm") {
-      QPLEX_ASSIGN_OR_RETURN(options.algorithm, next());
-    } else if (arg == "--k") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.k, ParseInt<int>(arg, value));
-    } else if (arg == "--seed") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.seed, ParseInt<std::uint64_t>(arg, value));
-    } else if (arg == "--threads") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.threads, ParseInt<int>(arg, value));
-    } else if (arg == "--metrics-json") {
-      QPLEX_ASSIGN_OR_RETURN(options.metrics_json, next());
-    } else if (arg == "--metrics-prom") {
-      QPLEX_ASSIGN_OR_RETURN(options.metrics_prom, next());
-    } else if (arg == "--verbose-trace") {
-      options.verbose_trace = true;
-    } else if (arg == "--events") {
-      QPLEX_ASSIGN_OR_RETURN(options.events, next());
-    } else if (arg == "--progress-interval-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.progress_interval_ms,
-                             ParseInt<int>(arg, value));
-    } else if (arg == "--fault-spec") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      if (!options.fault_spec.empty()) {
-        options.fault_spec += ",";
-      }
-      options.fault_spec += value;
-    } else if (arg == "--max-sim-bytes") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.max_sim_bytes,
-                             ParseInt<std::uint64_t>(arg, value));
-      if (options.max_sim_bytes == 0) {
-        return Status::InvalidArgument("--max-sim-bytes must be >= 1");
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      return Status::InvalidArgument("help requested");
-    } else {
-      return Status::InvalidArgument("unknown flag: " + arg);
-    }
-  }
+  FlagParser flags;
+  flags.String("--input", &options.input);
+  flags.String("--format", &options.format);
+  flags.String("--algorithm", &options.algorithm);
+  flags.Number("--k", &options.k, 1);
+  flags.Number("--seed", &options.seed);
+  flags.Number("--threads", &options.threads, 1);
+  flags.String("--metrics-json", &options.metrics_json);
+  flags.String("--metrics-prom", &options.metrics_prom);
+  flags.Switch("--verbose-trace", &options.verbose_trace);
+  flags.String("--events", &options.events);
+  flags.Number("--progress-interval-ms", &options.progress_interval_ms, 1);
+  flags.Custom("--fault-spec", [&](const std::string& value) {
+    options.fault_spec += (options.fault_spec.empty() ? "" : ",") + value;
+    return Status::Ok();
+  });
+  flags.Number("--max-sim-bytes", &options.max_sim_bytes, std::uint64_t{1});
+  QPLEX_RETURN_IF_ERROR(flags.Parse(argc, argv));
   if (options.input.empty()) {
     return Status::InvalidArgument("--input is required");
-  }
-  if (options.k < 1) {
-    return Status::InvalidArgument("--k must be >= 1");
-  }
-  if (options.threads < 1) {
-    return Status::InvalidArgument("--threads must be >= 1");
-  }
-  if (options.progress_interval_ms < 1) {
-    return Status::InvalidArgument("--progress-interval-ms must be >= 1");
   }
   return options;
 }

@@ -41,7 +41,6 @@
 
 #include <cstring>
 #include <deque>
-#include <fcntl.h>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -52,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/status.h"
 #include "net/frame.h"
 #include "net/io.h"
@@ -85,64 +85,23 @@ void PrintUsage() {
          "                    [--request-timeout-ms <int>]\n";
 }
 
-Result<int> ParseIntFlag(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const int parsed = std::stoi(value, &consumed);
-    if (consumed != value.size()) {
-      return Status::InvalidArgument("bad integer for " + flag + ": '" +
-                                     value + "'");
-    }
-    return parsed;
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("bad integer for " + flag + ": '" + value +
-                                   "'");
-  }
-}
-
 Result<ClientOptions> ParseArgs(int argc, char** argv) {
   ClientOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument("missing value for " + arg);
-      }
-      return std::string(argv[++i]);
-    };
-    if (arg == "--port") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.port, ParseIntFlag(arg, value));
-    } else if (arg == "--requests") {
-      QPLEX_ASSIGN_OR_RETURN(options.requests, next());
-    } else if (arg == "--replay") {
-      QPLEX_ASSIGN_OR_RETURN(options.replay, next());
-    } else if (arg == "--record") {
-      QPLEX_ASSIGN_OR_RETURN(options.record, next());
-    } else if (arg == "--mode") {
-      QPLEX_ASSIGN_OR_RETURN(options.mode, next());
-      if (options.mode != "lockstep" && options.mode != "pipeline") {
-        return Status::InvalidArgument("--mode must be lockstep or pipeline");
-      }
-    } else if (arg == "--connections") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.connections, ParseIntFlag(arg, value));
-    } else if (arg == "--out") {
-      QPLEX_ASSIGN_OR_RETURN(options.out, next());
-    } else if (arg == "--out-dir") {
-      QPLEX_ASSIGN_OR_RETURN(options.out_dir, next());
-    } else if (arg == "--disconnect-after") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.disconnect_after,
-                             ParseIntFlag(arg, value));
-    } else if (arg == "--request-timeout-ms" || arg == "--timeout-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.timeout_ms, ParseIntFlag(arg, value));
-    } else if (arg == "--help" || arg == "-h") {
-      return Status::InvalidArgument("help requested");
-    } else {
-      return Status::InvalidArgument("unknown flag: " + arg);
-    }
+  FlagParser flags;
+  flags.Number("--port", &options.port);
+  flags.String("--requests", &options.requests);
+  flags.String("--replay", &options.replay);
+  flags.String("--record", &options.record);
+  flags.String("--mode", &options.mode);
+  flags.Number("--connections", &options.connections, 1);
+  flags.String("--out", &options.out);
+  flags.String("--out-dir", &options.out_dir);
+  flags.Number("--disconnect-after", &options.disconnect_after);
+  flags.Number("--request-timeout-ms", &options.timeout_ms, 1);
+  flags.Number("--timeout-ms", &options.timeout_ms, 1);
+  QPLEX_RETURN_IF_ERROR(flags.Parse(argc, argv));
+  if (options.mode != "lockstep" && options.mode != "pipeline") {
+    return Status::InvalidArgument("--mode must be lockstep or pipeline");
   }
   if (options.port < 1 || options.port > 65535) {
     return Status::InvalidArgument("--port must be in [1, 65535]");
@@ -166,55 +125,17 @@ Result<ClientOptions> ParseArgs(int argc, char** argv) {
         "--record requires --mode lockstep (the script must be a total "
         "admission order)");
   }
-  if (options.connections < 1) {
-    return Status::InvalidArgument("--connections must be >= 1");
-  }
   if (options.connections > 1 && options.out_dir.empty()) {
     return Status::InvalidArgument("--connections > 1 requires --out-dir");
   }
-  if (options.timeout_ms < 1) {
-    return Status::InvalidArgument("--request-timeout-ms must be >= 1");
-  }
   return options;
-}
-
-/// EINTR-safe whole-file slurp (stdin for "-").
-Result<std::string> SlurpFile(const std::string& path) {
-  int fd = 0;
-  if (path != "-") {
-    do {
-      fd = ::open(path.c_str(), O_RDONLY);
-    } while (fd < 0 && errno == EINTR);
-    if (fd < 0) {
-      return Status::NotFound("cannot open file: " + path);
-    }
-  }
-  std::string text;
-  char buffer[64 * 1024];
-  while (true) {
-    const net::IoResult got = net::ReadFd(fd, buffer, sizeof(buffer));
-    if (got.state == net::IoState::kClosed) {
-      break;
-    }
-    if (got.state != net::IoState::kOk) {
-      if (path != "-") {
-        net::CloseFd(fd);
-      }
-      return Status::Internal("read failed on " + path);
-    }
-    text.append(buffer, got.bytes);
-  }
-  if (path != "-") {
-    net::CloseFd(fd);
-  }
-  return text;
 }
 
 /// Loads request lines, skipping blanks and '#' comments — the same skip
 /// rule the server applies, so lockstep accounting (one response per sent
 /// line) stays balanced.
 Result<std::vector<std::string>> LoadRequestLines(const std::string& path) {
-  QPLEX_ASSIGN_OR_RETURN(const std::string text, SlurpFile(path));
+  QPLEX_ASSIGN_OR_RETURN(const std::string text, net::SlurpFile(path));
   std::vector<std::string> lines;
   std::istringstream in(text);
   std::string line;

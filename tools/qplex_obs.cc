@@ -90,62 +90,22 @@ void PrintUsage() {
                "[--fail-on-orphans]\n";
 }
 
-Result<double> ParseFloat(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    if (consumed != value.size()) {
-      return Status::InvalidArgument("bad number for " + flag + ": '" + value +
-                                     "'");
-    }
-    return parsed;
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("bad number for " + flag + ": '" + value +
-                                   "'");
-  }
-}
-
 Result<ObsOptions> ParseArgs(int argc, char** argv) {
   ObsOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument("missing value for " + arg);
-      }
-      return std::string(argv[++i]);
-    };
-    if (arg == "--events") {
-      QPLEX_ASSIGN_OR_RETURN(options.events, next());
-    } else if (arg == "--journal") {
-      QPLEX_ASSIGN_OR_RETURN(options.journal, next());
-    } else if (arg == "--trace-tree") {
-      QPLEX_ASSIGN_OR_RETURN(options.trace_tree, next());
-    } else if (arg == "--folded") {
-      QPLEX_ASSIGN_OR_RETURN(options.folded, next());
-    } else if (arg == "--latency") {
-      QPLEX_ASSIGN_OR_RETURN(options.latency, next());
-    } else if (arg == "--slo") {
-      QPLEX_ASSIGN_OR_RETURN(options.slo, next());
-    } else if (arg == "--slo-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.slo_ms, ParseFloat(arg, value));
-    } else if (arg == "--convergence") {
-      QPLEX_ASSIGN_OR_RETURN(options.convergence, next());
-    } else if (arg == "--convergence-timing") {
-      options.convergence_timing = true;
-    } else if (arg == "--health") {
-      QPLEX_ASSIGN_OR_RETURN(options.health, next());
-    } else if (arg == "--check-metrics") {
-      QPLEX_ASSIGN_OR_RETURN(options.check_metrics, next());
-    } else if (arg == "--fail-on-orphans") {
-      options.fail_on_orphans = true;
-    } else if (arg == "--help" || arg == "-h") {
-      return Status::InvalidArgument("help requested");
-    } else {
-      return Status::InvalidArgument("unknown flag: " + arg);
-    }
-  }
+  FlagParser flags;
+  flags.String("--events", &options.events);
+  flags.String("--journal", &options.journal);
+  flags.String("--trace-tree", &options.trace_tree);
+  flags.String("--folded", &options.folded);
+  flags.String("--latency", &options.latency);
+  flags.String("--slo", &options.slo);
+  flags.Number("--slo-ms", &options.slo_ms);
+  flags.String("--convergence", &options.convergence);
+  flags.Switch("--convergence-timing", &options.convergence_timing);
+  flags.String("--health", &options.health);
+  flags.String("--check-metrics", &options.check_metrics);
+  flags.Switch("--fail-on-orphans", &options.fail_on_orphans);
+  QPLEX_RETURN_IF_ERROR(flags.Parse(argc, argv));
   if (options.events.empty()) {
     return Status::InvalidArgument("--events is required");
   }
@@ -171,30 +131,18 @@ Status WriteOutput(const std::string& path, const std::string& text) {
 /// event stream, either as a completed job_end or a job_replayed line.
 Result<std::vector<std::string>> JournalMismatches(
     const std::string& path, const obs::EventLog& log) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::InvalidArgument("cannot open journal: " + path);
-  }
-  std::set<std::string> seen;
+  // svc::ReadJournal keeps the valid prefix, the same rule as --resume.
+  QPLEX_ASSIGN_OR_RETURN(const std::vector<svc::JournalEntry> entries,
+                         svc::ReadJournal(path));
+  std::set<std::string> seen(log.replayed_labels.begin(),
+                             log.replayed_labels.end());
   for (const obs::JobRecord& job : log.jobs) {
     seen.insert(job.label);
   }
-  for (const std::string& label : log.replayed_labels) {
-    seen.insert(label);
-  }
   std::vector<std::string> missing;
-  std::string text;
-  while (std::getline(in, text)) {
-    auto parsed = obs::JsonValue::Parse(text);
-    if (!parsed.ok() || !parsed.value().is_object()) {
-      break;  // torn tail: the valid-prefix rule, same as --resume
-    }
-    const obs::JsonValue* label = parsed.value().Find("label");
-    if (label == nullptr || !label->is_string()) {
-      break;
-    }
-    if (seen.find(label->AsString()) == seen.end()) {
-      missing.push_back(label->AsString());
+  for (const svc::JournalEntry& entry : entries) {
+    if (seen.count(entry.label) == 0) {
+      missing.push_back(entry.label);
     }
   }
   return missing;

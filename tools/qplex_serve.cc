@@ -2,79 +2,48 @@
 // svc::JobScheduler over every registered backend, either as a one-shot
 // batch (--jobs, file or stdin) or as a persistent loopback TCP server
 // (--listen) multiplexing many concurrent clients onto the one scheduler.
+// PrintUsage lists every flag.
 //
-//   qplex_serve --jobs <file|-> | --listen <port> [--workers N]
-//               [--queue-cap N] [--events <file|->] [--cache on|off]
-//               [--metrics-json <file|->] [--metrics-prom <file>]
-//               [--metrics-prom-interval-ms N] [--slo-ms X]
-//               [--progress-interval-ms N]
-//               [--journal <file>] [--resume]
-//               [--fault-spec site:rate[:seed]] [--max-sim-bytes N]
-//               [--max-retries N]
-//               [--max-connections N] [--idle-timeout-ms N]
-//               [--max-line-bytes N] [--port-file <file>]
-//               [--breaker-threshold N] [--breaker-cooldown N]
-//               [--watchdog-stall-ms X] [--watchdog-poll-ms X]
-//               [--shed-target-ms X]
-//
-// Requests are one JSON object per line in both modes, parsed by the single
-// svc::ParseRequestLine entry point (see src/svc/request.h for the schema),
-// so a malformed line is rejected with identical error text whether it
-// arrived from a file or a socket. In batch mode a malformed line fails the
-// batch (exit 2); in socket mode it earns a per-request error response and
-// the connection lives on.
+// This file is flags, setup and wiring. Serving is the one svc::FrontEnd
+// (src/svc/front_end.h) fed by one of two line sources, the job file
+// (svc::BatchSource) or a loopback net::Server (svc::SocketSource): the same
+// admission -> backlog -> scheduler -> completion -> response/journal path
+// on the same single-threaded tick. Requests are one JSON object per line,
+// parsed by svc::ParseRequestLine, so a malformed line earns identical error
+// text from a file or a socket. Batch mode parses and validates the whole
+// job file (every backend must exist) before anything runs; a bad line
+// fails the batch (exit 2). In socket mode it earns a per-request error
+// response and the connection lives on.
 //
 // Socket mode (--listen, port 0 = kernel-assigned, announced via the
-// "listening" event and --port-file): a single-threaded poll() event loop
-// (src/net/) accepts clients, frames their request lines, and submits each
-// to the scheduler; responses are routed back to the originating connection
-// as one JSON line per request, tagged with the client's request id.
-// Scheduler backpressure composes outward: admission-queue rejections park
-// requests in a bounded backlog, and past that the server sheds load with
-// per-request ResourceExhausted responses. SIGTERM/SIGINT performs the
-// graceful drain — stop accepting, finish in-flight jobs, flush every
-// response, close. A client disconnecting mid-stream degrades to a
-// per-connection error (SIGPIPE is ignored); its jobs still run and
-// journal, only the responses are dropped.
+// "listening" event and --port-file) routes each response to its
+// connection, tagged with the client's request id, sheds load past the
+// backlog with retry_after_ms hints (--shed-target-ms sheds earlier on
+// queue delay), and answers {"type": "health"} probes in place. Batch mode
+// rejects health lines to protect its byte-identical journal contract.
+// --breaker-threshold and --watchdog-stall-ms arm the health subsystem
+// (DESIGN.md section 15); --fault-spec arms the deterministic fault
+// injector (section 10).
 //
-// Health (DESIGN.md section 15): --breaker-threshold N arms per-backend
-// circuit breakers (N consecutive counted failures open a backend;
-// --breaker-cooldown consultations later a half-open probe decides recovery),
-// --watchdog-stall-ms arms the wedged-job watchdog (an execution that stops
-// heartbeating for the budget is cancelled and falls back), and
-// --shed-target-ms arms adaptive admission control in socket mode (requests
-// are shed with a retry_after_ms hint once the smoothed queue delay runs past
-// the target). Socket clients can probe all of it in-band with
-// {"type": "health", "id": "..."} — answered immediately with breaker
-// states, queue depth, shed counts, and drain status; batch mode rejects
-// health lines to protect its byte-identical journal contract.
+// Signals: SIGTERM/SIGINT in socket mode performs the graceful drain —
+// stop accepting, finish in-flight jobs, flush every response, close,
+// exit 0. In batch mode it stops feeding, cancels admitted work and
+// journals nothing further.
 //
 // Crash safety: --journal appends one timestamp-free JSON line per finished
-// job (the WAL), flushed line-by-line. Batch mode journals in submission
-// order and supports --resume (skip journaled jobs; byte-identical final
-// journal). Socket mode journals in *admission order* through a reorder
-// buffer, so a recorded connection script replayed in lockstep
-// (qplex_client --replay) produces a byte-identical journal to the run it
-// recorded. --fault-spec arms the deterministic fault injector (DESIGN.md
-// section 10).
+// job (the WAL), flushed line-by-line, in admission order. Batch mode
+// admits in job-file order and supports --resume (skip journaled jobs;
+// byte-identical final journal). In socket mode a recorded connection
+// script replayed in lockstep (qplex_client --replay) produces a
+// byte-identical journal to the run it recorded.
 
-#include <atomic>
-#include <charconv>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <deque>
-#include <fcntl.h>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -83,9 +52,8 @@
 namespace qplex {
 namespace {
 
-/// Set by the SIGINT/SIGTERM handler; polled by the batch loop, the socket
-/// event loop, and the cancellation watcher. Async-signal-safe by
-/// construction (one store).
+/// Set by the SIGINT/SIGTERM handler; polled once per serve-loop tick.
+/// Async-signal-safe by construction (one store).
 volatile std::sig_atomic_t g_signal = 0;
 
 void HandleSignal(int sig) { g_signal = sig; }
@@ -144,142 +112,53 @@ void PrintUsage() {
                "                   [--shed-target-ms <float>]\n";
 }
 
-template <typename T>
-Result<T> ParseInt(const std::string& flag, const std::string& value) {
-  T parsed{};
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-  if (ec != std::errc{} || ptr != end || value.empty()) {
-    return Status::InvalidArgument("bad integer for " + flag + ": '" + value +
-                                   "'");
-  }
-  return parsed;
-}
-
-Result<double> ParseFloat(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    if (consumed != value.size()) {
-      return Status::InvalidArgument("bad number for " + flag + ": '" + value +
-                                     "'");
-    }
-    return parsed;
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("bad number for " + flag + ": '" + value +
-                                   "'");
-  }
-}
-
 Result<ServeOptions> ParseArgs(int argc, char** argv) {
   ServeOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument("missing value for " + arg);
-      }
-      return std::string(argv[++i]);
-    };
-    if (arg == "--jobs") {
-      QPLEX_ASSIGN_OR_RETURN(options.jobs, next());
-    } else if (arg == "--listen") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.listen_port, ParseInt<int>(arg, value));
-      if (options.listen_port < 0 || options.listen_port > 65535) {
-        return Status::InvalidArgument("--listen port must be in [0, 65535]");
-      }
-    } else if (arg == "--workers") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.workers, ParseInt<int>(arg, value));
-    } else if (arg == "--queue-cap") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.queue_cap, ParseInt<int>(arg, value));
-    } else if (arg == "--events") {
-      QPLEX_ASSIGN_OR_RETURN(options.events, next());
-    } else if (arg == "--cache") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      if (value != "on" && value != "off") {
-        return Status::InvalidArgument("--cache must be on or off");
-      }
-      options.cache = value == "on";
-    } else if (arg == "--metrics-json") {
-      QPLEX_ASSIGN_OR_RETURN(options.metrics_json, next());
-    } else if (arg == "--metrics-prom") {
-      QPLEX_ASSIGN_OR_RETURN(options.metrics_prom, next());
-    } else if (arg == "--metrics-prom-interval-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.metrics_prom_interval_ms,
-                             ParseInt<int>(arg, value));
-    } else if (arg == "--slo-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.slo_ms, ParseFloat(arg, value));
-    } else if (arg == "--progress-interval-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.progress_interval_ms,
-                             ParseInt<int>(arg, value));
-    } else if (arg == "--journal") {
-      QPLEX_ASSIGN_OR_RETURN(options.journal, next());
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--fault-spec") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      // Repeated flags accumulate into one comma-joined spec.
-      if (!options.fault_spec.empty()) {
-        options.fault_spec += ",";
-      }
-      options.fault_spec += value;
-    } else if (arg == "--max-sim-bytes") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.max_sim_bytes,
-                             ParseInt<std::uint64_t>(arg, value));
-      if (options.max_sim_bytes == 0) {
-        return Status::InvalidArgument("--max-sim-bytes must be >= 1");
-      }
-    } else if (arg == "--max-retries") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.max_retries, ParseInt<int>(arg, value));
-    } else if (arg == "--max-connections") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.max_connections,
-                             ParseInt<int>(arg, value));
-    } else if (arg == "--idle-timeout-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.idle_timeout_ms,
-                             ParseInt<int>(arg, value));
-    } else if (arg == "--max-line-bytes") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.max_line_bytes,
-                             ParseInt<std::uint64_t>(arg, value));
-      if (options.max_line_bytes < 2) {
-        return Status::InvalidArgument("--max-line-bytes must be >= 2");
-      }
-    } else if (arg == "--port-file") {
-      QPLEX_ASSIGN_OR_RETURN(options.port_file, next());
-    } else if (arg == "--breaker-threshold") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.breaker_threshold,
-                             ParseInt<int>(arg, value));
-    } else if (arg == "--breaker-cooldown") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.breaker_cooldown,
-                             ParseInt<int>(arg, value));
-    } else if (arg == "--watchdog-stall-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.watchdog_stall_ms, ParseFloat(arg, value));
-    } else if (arg == "--watchdog-poll-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.watchdog_poll_ms, ParseFloat(arg, value));
-    } else if (arg == "--shed-target-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.shed_target_ms, ParseFloat(arg, value));
-    } else if (arg == "--help" || arg == "-h") {
-      return Status::InvalidArgument("help requested");
-    } else {
-      return Status::InvalidArgument("unknown flag: " + arg);
+  FlagParser flags;
+  flags.String("--jobs", &options.jobs);
+  flags.Custom("--listen", [&](const std::string& value) {
+    QPLEX_ASSIGN_OR_RETURN(options.listen_port,
+                           ParseIntFlag<int>("--listen", value));
+    if (options.listen_port < 0 || options.listen_port > 65535) {
+      return Status::InvalidArgument("--listen port must be in [0, 65535]");
     }
-  }
+    return Status::Ok();
+  });
+  flags.Number("--workers", &options.workers, 1);
+  flags.Number("--queue-cap", &options.queue_cap, 1);
+  flags.String("--events", &options.events);
+  flags.Custom("--cache", [&](const std::string& value) {
+    if (value != "on" && value != "off") {
+      return Status::InvalidArgument("--cache must be on or off");
+    }
+    options.cache = value == "on";
+    return Status::Ok();
+  });
+  flags.String("--metrics-json", &options.metrics_json);
+  flags.String("--metrics-prom", &options.metrics_prom);
+  flags.Number("--metrics-prom-interval-ms",
+               &options.metrics_prom_interval_ms, 0);
+  flags.Number("--slo-ms", &options.slo_ms, 0.0);
+  flags.Number("--progress-interval-ms", &options.progress_interval_ms, 1);
+  flags.String("--journal", &options.journal);
+  flags.Switch("--resume", &options.resume);
+  flags.Custom("--fault-spec", [&](const std::string& value) {
+    // Repeated flags accumulate into one comma-joined spec.
+    options.fault_spec += (options.fault_spec.empty() ? "" : ",") + value;
+    return Status::Ok();
+  });
+  flags.Number("--max-sim-bytes", &options.max_sim_bytes, std::uint64_t{1});
+  flags.Number("--max-retries", &options.max_retries, 0);
+  flags.Number("--max-connections", &options.max_connections, 1);
+  flags.Number("--idle-timeout-ms", &options.idle_timeout_ms, 0);
+  flags.Number("--max-line-bytes", &options.max_line_bytes, std::uint64_t{2});
+  flags.String("--port-file", &options.port_file);
+  flags.Number("--breaker-threshold", &options.breaker_threshold, 0);
+  flags.Number("--breaker-cooldown", &options.breaker_cooldown, 1);
+  flags.Number("--watchdog-stall-ms", &options.watchdog_stall_ms, 0.0);
+  flags.Number("--watchdog-poll-ms", &options.watchdog_poll_ms);
+  flags.Number("--shed-target-ms", &options.shed_target_ms, 0.0);
+  QPLEX_RETURN_IF_ERROR(flags.Parse(argc, argv));
   const bool socket_mode = options.listen_port >= 0;
   if (options.jobs.empty() && !socket_mode) {
     return Status::InvalidArgument("--jobs or --listen is required");
@@ -292,51 +171,15 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
         "--resume applies to batch mode only (socket-mode journals are "
         "reproduced by replaying the connection script)");
   }
-  if (options.workers < 1) {
-    return Status::InvalidArgument("--workers must be >= 1");
-  }
-  if (options.queue_cap < 1) {
-    return Status::InvalidArgument("--queue-cap must be >= 1");
-  }
-  if (options.progress_interval_ms < 1) {
-    return Status::InvalidArgument("--progress-interval-ms must be >= 1");
-  }
   if (options.resume && options.journal.empty()) {
     return Status::InvalidArgument("--resume requires --journal");
-  }
-  if (options.max_retries < 0) {
-    return Status::InvalidArgument("--max-retries must be >= 0");
-  }
-  if (options.max_connections < 1) {
-    return Status::InvalidArgument("--max-connections must be >= 1");
-  }
-  if (options.idle_timeout_ms < 0) {
-    return Status::InvalidArgument("--idle-timeout-ms must be >= 0");
-  }
-  if (options.metrics_prom_interval_ms < 0) {
-    return Status::InvalidArgument("--metrics-prom-interval-ms must be >= 0");
   }
   if (options.metrics_prom_interval_ms > 0 && options.metrics_prom.empty()) {
     return Status::InvalidArgument(
         "--metrics-prom-interval-ms requires --metrics-prom");
   }
-  if (options.slo_ms < 0) {
-    return Status::InvalidArgument("--slo-ms must be >= 0");
-  }
-  if (options.breaker_threshold < 0) {
-    return Status::InvalidArgument("--breaker-threshold must be >= 0");
-  }
-  if (options.breaker_cooldown < 1) {
-    return Status::InvalidArgument("--breaker-cooldown must be >= 1");
-  }
-  if (options.watchdog_stall_ms < 0) {
-    return Status::InvalidArgument("--watchdog-stall-ms must be >= 0");
-  }
   if (options.watchdog_poll_ms <= 0) {
     return Status::InvalidArgument("--watchdog-poll-ms must be > 0");
-  }
-  if (options.shed_target_ms < 0) {
-    return Status::InvalidArgument("--shed-target-ms must be >= 0");
   }
   if (options.shed_target_ms > 0 && !socket_mode) {
     return Status::InvalidArgument(
@@ -346,50 +189,15 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
   return options;
 }
 
-/// Slurps a whole file (or stdin for "-") through the EINTR-safe read
-/// wrapper, so a signal during journal replay or job-file loading retries
-/// instead of truncating the input.
-Result<std::string> SlurpFile(const std::string& path) {
-  int fd = 0;  // stdin
-  if (path != "-") {
-    do {
-      fd = ::open(path.c_str(), O_RDONLY);
-    } while (fd < 0 && errno == EINTR);
-    if (fd < 0) {
-      return Status::NotFound("cannot open file: " + path);
-    }
-  }
-  std::string text;
-  char buffer[64 * 1024];
-  while (true) {
-    const net::IoResult got = net::ReadFd(fd, buffer, sizeof(buffer));
-    if (got.state == net::IoState::kClosed) {
-      break;
-    }
-    if (got.state != net::IoState::kOk) {
-      if (path != "-") {
-        net::CloseFd(fd);
-      }
-      return Status::Internal("read failed on " + path);
-    }
-    text.append(buffer, got.bytes);
-  }
-  if (path != "-") {
-    net::CloseFd(fd);
-  }
-  return text;
-}
-
 Result<std::vector<svc::RequestSpec>> ReadJobs(const std::string& path) {
-  QPLEX_ASSIGN_OR_RETURN(const std::string text, SlurpFile(path));
+  QPLEX_ASSIGN_OR_RETURN(const std::string text, net::SlurpFile(path));
   std::vector<svc::RequestSpec> specs;
   std::istringstream in(text);
   std::string line;
   int line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') {
+    if (svc::IsBlankOrComment(line)) {
       continue;
     }
     QPLEX_ASSIGN_OR_RETURN(svc::RequestSpec spec,
@@ -406,63 +214,41 @@ Result<std::vector<svc::RequestSpec>> ReadJobs(const std::string& path) {
   return specs;
 }
 
-struct JournalEntry {
-  std::string label;
-  std::string status;
-  std::string line;  ///< the raw serialized form, without the newline
-};
-
-/// Reads the valid prefix of a WAL. A torn tail line (the process died
-/// mid-write) is dropped; anything after the first malformed line is
-/// discarded with it.
-Result<std::vector<JournalEntry>> ReadJournal(const std::string& path) {
-  std::vector<JournalEntry> entries;
-  const Result<std::string> slurped = SlurpFile(path);
-  if (!slurped.ok()) {
-    return entries;  // no journal yet: a fresh run
-  }
-  std::istringstream in(slurped.value());
-  std::string text;
-  while (std::getline(in, text)) {
-    Result<obs::JsonValue> parsed = obs::JsonValue::Parse(text);
-    if (!parsed.ok() || !parsed.value().is_object()) {
-      break;
+/// Batch mode fails before anything runs: every backend a job names must be
+/// registered, and every job's racers must fit the admission queue at once.
+Status ValidateJobs(const std::vector<svc::RequestSpec>& specs,
+                    const svc::SolverRegistry& registry, int queue_cap) {
+  for (const svc::RequestSpec& spec : specs) {
+    const std::vector<std::string> backends =
+        spec.backends.empty() ? std::vector<std::string>{spec.request.backend}
+                              : spec.backends;
+    for (const std::string& backend : backends) {
+      if (registry.Get(backend) == nullptr) {
+        return Status::InvalidArgument("job '" + spec.request.label +
+                                       "': unknown backend: " + backend);
+      }
     }
-    const obs::JsonValue* label = parsed.value().Find("label");
-    const obs::JsonValue* status = parsed.value().Find("status");
-    if (label == nullptr || !label->is_string() || status == nullptr ||
-        !status->is_string()) {
-      break;
+    if (backends.size() > static_cast<std::size_t>(queue_cap)) {
+      return Status::InvalidArgument("job '" + spec.request.label +
+                                     "' races more backends than --queue-cap");
     }
-    entries.push_back(
-        JournalEntry{label->AsString(), status->AsString(), text});
   }
-  return entries;
+  return Status::Ok();
 }
 
-struct BatchOutcome {
-  int failures = 0;   ///< non-OK jobs, journaled replays included
-  int skipped = 0;    ///< jobs satisfied from the journal
-  bool interrupted = false;
-};
-
-/// Executes the whole batch with submission-order Wait()s. Backpressure
-/// rejections drain the oldest outstanding job, then back off with
-/// decorrelated jitter (recorded in svc.admission.backoff_ms) instead of
-/// hot-spinning. `journaled` jobs are skipped; on SIGINT/SIGTERM the loop
-/// stops submitting, a watcher cancels everything in flight, and journaling
-/// stops so the WAL stays a clean prefix of the uninterrupted run.
-Result<BatchOutcome> RunBatch(svc::JobScheduler* scheduler,
-                              std::vector<svc::RequestSpec> specs,
-                              std::ostream* journal,
-                              const std::vector<JournalEntry>& journaled) {
-  BatchOutcome outcome;
+/// --resume: checks the journaled prefix against the job file label by
+/// label and narrates it as job_replayed events. Returns the number of
+/// journaled failures, which still count in batch_end.failed.
+Result<std::int64_t> ReplayJournal(
+    const std::vector<svc::RequestSpec>& specs,
+    const std::vector<svc::JournalEntry>& journaled) {
   if (journaled.size() > specs.size()) {
     return Status::InvalidArgument(
         "journal has " + std::to_string(journaled.size()) +
         " entries but the batch only has " + std::to_string(specs.size()) +
         " jobs — wrong journal for this job file?");
   }
+  std::int64_t failures = 0;
   for (std::size_t i = 0; i < journaled.size(); ++i) {
     if (journaled[i].label != specs[i].request.label) {
       return Status::InvalidArgument(
@@ -471,484 +257,16 @@ Result<BatchOutcome> RunBatch(svc::JobScheduler* scheduler,
           specs[i].request.label + "' — wrong journal for this job file?");
     }
     if (journaled[i].status != "OK") {
-      ++outcome.failures;
+      ++failures;
     }
-    ++outcome.skipped;
     if (obs::EventsEnabled()) {
       obs::EmitEvent(obs::EventLevel::kInfo, "svc", "job_replayed",
                      {{"label", journaled[i].label},
                       {"status", journaled[i].status}});
     }
   }
-
-  std::mutex mutex;
-  std::deque<std::pair<svc::JobId, const svc::RequestSpec*>> outstanding;
-  std::atomic<bool> done{false};
-  // On a signal, cancel every in-flight job (repeatedly — cancellation is
-  // idempotent and new jobs cannot be submitted once g_signal is set). This
-  // runs in a thread because the batch loop itself blocks inside Wait().
-  std::thread watcher([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      if (g_signal != 0) {
-        std::lock_guard<std::mutex> lock(mutex);
-        for (const auto& [id, spec] : outstanding) {
-          scheduler->Cancel(id);
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  });
-  struct WatcherJoiner {
-    std::atomic<bool>& done;
-    std::thread& watcher;
-    ~WatcherJoiner() {
-      done.store(true, std::memory_order_relaxed);
-      watcher.join();
-    }
-  } joiner{done, watcher};
-
-  auto drain_one = [&] {
-    svc::JobId id;
-    const svc::RequestSpec* spec;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      std::tie(id, spec) = outstanding.front();
-    }
-    const svc::SolveResponse response = scheduler->Wait(id);
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      outstanding.pop_front();
-    }
-    if (!response.status.ok()) {
-      ++outcome.failures;
-    }
-    // Once a signal landed, responses are from cancelled jobs — don't
-    // journal them, so --resume recomputes them with full budgets.
-    if (journal != nullptr && g_signal == 0) {
-      *journal << svc::RenderResponseLine(spec->request.label, response)
-               << "\n"
-               << std::flush;
-    }
-  };
-
-  resilience::BackoffOptions admission_backoff_options;
-  admission_backoff_options.base_ms = 0.5;
-  admission_backoff_options.cap_ms = 20;
-  admission_backoff_options.seed = 0xad715510;
-  resilience::Backoff admission_backoff(admission_backoff_options);
-
-  for (std::size_t i = journaled.size(); i < specs.size(); ++i) {
-    svc::RequestSpec& spec = specs[i];
-    if (g_signal != 0) {
-      outcome.interrupted = true;
-      break;
-    }
-    while (true) {
-      Result<svc::JobId> submitted =
-          spec.backends.empty()
-              ? scheduler->Submit(spec.request)
-              : scheduler->SubmitPortfolio(spec.request, spec.backends);
-      if (submitted.ok()) {
-        std::lock_guard<std::mutex> lock(mutex);
-        outstanding.emplace_back(submitted.value(), &spec);
-        admission_backoff.Reset();
-        break;
-      }
-      if (submitted.status().code() != StatusCode::kResourceExhausted) {
-        return submitted.status();
-      }
-      bool empty;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        empty = outstanding.empty();
-      }
-      if (empty) {
-        // Queue smaller than one job's racer count: a config error, not
-        // transient backpressure.
-        return submitted.status();
-      }
-      drain_one();
-      if (g_signal != 0) {
-        break;  // re-checked at the top of the outer loop
-      }
-      const double delay_ms = admission_backoff.NextDelayMs();
-      obs::MetricsRegistry::Global()
-          .GetHistogram("svc.admission.backoff_ms")
-          .Record(delay_ms);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(delay_ms));
-    }
-  }
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (outstanding.empty()) {
-        break;
-      }
-    }
-    drain_one();
-  }
-  if (g_signal != 0) {
-    outcome.interrupted = true;
-  }
-  if (journal != nullptr) {
-    journal->flush();
-  }
-  return outcome;
+  return failures;
 }
-
-// ---------------------------------------------------------------------------
-// Socket mode: the poll event loop glued to the scheduler.
-
-/// Renders the per-request error line used for malformed requests, unknown
-/// backends, and shed load. Shares the "label"/"status" keys with the
-/// success renderer so clients parse one schema.
-std::string RenderErrorLine(const std::string& label, const Status& status) {
-  obs::JsonValue line = obs::JsonValue::Object();
-  line.Set("label", label);
-  line.Set("status", std::string(StatusCodeName(status.code())));
-  line.Set("error", status.message());
-  return line.Dump();
-}
-
-/// Shed responses are error lines plus a retry_after_ms hint so a
-/// well-behaved client backs off for a delay the server actually measured
-/// instead of guessing.
-std::string RenderShedLine(const std::string& label, const Status& status,
-                           double retry_after_ms) {
-  obs::JsonValue line = obs::JsonValue::Object();
-  line.Set("label", label);
-  line.Set("status", std::string(StatusCodeName(status.code())));
-  line.Set("error", status.message());
-  line.Set("retry_after_ms", retry_after_ms);
-  return line.Dump();
-}
-
-/// Everything the socket front-end tracks about one admitted request.
-struct Route {
-  std::uint64_t conn = 0;      ///< originating connection
-  std::string label;           ///< the client's request id
-  std::uint64_t admission = 0; ///< journal reorder position
-};
-
-/// Socket-mode statistics for the final summary event.
-struct SocketOutcome {
-  std::int64_t requests = 0;
-  std::int64_t responses = 0;
-  std::int64_t failures = 0;
-  std::int64_t malformed = 0;
-  std::int64_t shed = 0;
-  bool interrupted = false;
-};
-
-class SocketFrontEnd {
- public:
-  SocketFrontEnd(const ServeOptions& options, svc::JobScheduler* scheduler,
-                 std::ostream* journal)
-      : options_(options),
-        scheduler_(scheduler),
-        journal_(journal),
-        overload_(MakeOverloadOptions(options)) {}
-
-  Result<SocketOutcome> Run() {
-    net::ServerOptions server_options;
-    server_options.port = options_.listen_port;
-    server_options.max_connections = options_.max_connections;
-    server_options.idle_timeout_ms = options_.idle_timeout_ms;
-    server_options.max_line_bytes =
-        static_cast<std::size_t>(options_.max_line_bytes);
-    server_options.busy_response =
-        RenderErrorLine("", Status::ResourceExhausted(
-                                "server at max connections")) +
-        "\n";
-    net::ServerCallbacks callbacks;
-    callbacks.on_line = [this](std::uint64_t conn, std::string line) {
-      OnLine(conn, std::move(line));
-    };
-    callbacks.on_close = [this](std::uint64_t conn) { OnClose(conn); };
-    callbacks.on_protocol_error = [this](std::uint64_t conn,
-                                         const Status& violation) {
-      ++outcome_.malformed;
-      server_->Send(conn, RenderErrorLine("", violation) + "\n");
-    };
-    QPLEX_ASSIGN_OR_RETURN(
-        server_, net::Server::Create(server_options, std::move(callbacks)));
-
-    if (!options_.port_file.empty()) {
-      std::ofstream port_out(options_.port_file, std::ios::trunc);
-      port_out << server_->port() << "\n";
-      if (!port_out) {
-        return Status::Internal("cannot write port file: " +
-                                options_.port_file);
-      }
-    }
-    if (obs::EventsEnabled()) {
-      obs::EmitEvent(obs::EventLevel::kInfo, "net", "listening",
-                     {{"port", server_->port()},
-                      {"max_connections", options_.max_connections},
-                      {"idle_timeout_ms", options_.idle_timeout_ms}});
-    }
-
-    while (true) {
-      if (g_signal != 0 && !draining_) {
-        // Graceful drain: no new connections, no new reads beyond what is
-        // already buffered; in-flight and backlogged jobs run to completion
-        // and every response flushes before exit.
-        draining_ = true;
-        outcome_.interrupted = true;
-        server_->StopAccepting();
-        if (obs::EventsEnabled()) {
-          obs::EmitEvent(obs::EventLevel::kInfo, "net", "draining",
-                         {{"outstanding",
-                           static_cast<std::int64_t>(outstanding_.size())},
-                          {"backlog",
-                           static_cast<std::int64_t>(backlog_.size())}});
-        }
-      }
-      const bool busy = !outstanding_.empty() || !backlog_.empty();
-      // 2 ms keeps completion-drain latency negligible against solve times
-      // while jobs are in flight; an idle server parks in poll() for long
-      // slices (interrupted early by signals or traffic either way).
-      const int timeout_ms = busy ? 2 : (draining_ ? 10 : 200);
-      QPLEX_RETURN_IF_ERROR(server_->Poll(timeout_ms));
-      SubmitBacklog();
-      DrainCompletions();
-      server_->FlushWritable();
-      if (draining_ && outstanding_.empty() && backlog_.empty()) {
-        break;
-      }
-    }
-    server_->DrainWrites(/*timeout_ms=*/2000);
-    if (journal_ != nullptr) {
-      journal_->flush();
-    }
-    return outcome_;
-  }
-
- private:
-  static resilience::OverloadOptions MakeOverloadOptions(
-      const ServeOptions& options) {
-    resilience::OverloadOptions overload;
-    overload.target_delay_ms = options.shed_target_ms;
-    return overload;
-  }
-
-  void OnLine(std::uint64_t conn, std::string line) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') {
-      return;  // same skip rule as batch mode
-    }
-    const int line_number = ++conn_lines_[conn];
-    ++outcome_.requests;
-    obs::MetricsRegistry::Global().GetCounter("net.requests.received")
-        .Increment();
-    Result<svc::RequestSpec> parsed = svc::ParseRequestLine(line, line_number);
-    if (!parsed.ok()) {
-      ++outcome_.malformed;
-      obs::MetricsRegistry::Global().GetCounter("net.requests.malformed")
-          .Increment();
-      server_->Send(conn, RenderErrorLine("", parsed.status()) + "\n");
-      return;
-    }
-    if (parsed.value().kind == svc::RequestKind::kHealth) {
-      // Health probes bypass admission entirely — they are how a client
-      // finds out *why* it is being shed, so shedding them would be
-      // self-defeating. Answered in place, never journaled.
-      server_->Send(conn,
-                    RenderHealthLine(parsed.value().request.label) + "\n");
-      ++outcome_.responses;
-      return;
-    }
-    // Scheduler backpressure composes outward: a full admission queue parks
-    // requests here; once the backlog itself is a queue-capacity deep — or
-    // the smoothed queue delay has run past --shed-target-ms — further
-    // requests are shed with an explicit ResourceExhausted carrying a
-    // retry_after_ms hint instead of buffering without bound.
-    const resilience::OverloadController::Decision admit = overload_.Admit(
-        backlog_.size(), static_cast<std::size_t>(options_.queue_cap),
-        scheduler_->OpenBreakerCount());
-    if (!admit.admit) {
-      ++outcome_.shed;
-      obs::MetricsRegistry::Global().GetCounter("net.requests.shed")
-          .Increment();
-      const std::string reason = admit.reason;
-      const std::string message = reason == "backlog_full"
-                                      ? "admission queue and backlog full"
-                                      : "queue delay over shed target; "
-                                        "retry later";
-      server_->Send(conn, RenderShedLine(parsed.value().request.label,
-                                         Status::ResourceExhausted(message),
-                                         admit.retry_after_ms) +
-                              "\n");
-      if (obs::EventsEnabled()) {
-        obs::EmitEvent(obs::EventLevel::kWarn, "svc", "admission_shed",
-                       {{"label", parsed.value().request.label},
-                        {"reason", reason},
-                        {"backlog",
-                         static_cast<std::int64_t>(backlog_.size())}});
-      }
-      return;
-    }
-    backlog_.push_back(Backlogged{conn, std::move(parsed).value()});
-    SubmitBacklog();
-  }
-
-  void OnClose(std::uint64_t conn) {
-    conn_lines_.erase(conn);
-    conn_outstanding_.erase(conn);  // the server forgot the pin with the fd
-    // Jobs already admitted for this connection keep running (and keep their
-    // journal slot — the WAL narrates admitted work, not deliveries); their
-    // responses will be dropped by Send() and counted.
-    if (obs::EventsEnabled()) {
-      obs::EmitEvent(obs::EventLevel::kInfo, "net", "conn_close",
-                     {{"conn", static_cast<std::int64_t>(conn)}});
-    }
-  }
-
-  void SubmitBacklog() {
-    while (!backlog_.empty()) {
-      Backlogged& next = backlog_.front();
-      Result<svc::JobId> submitted =
-          next.spec.backends.empty()
-              ? scheduler_->Submit(next.spec.request)
-              : scheduler_->SubmitPortfolio(next.spec.request,
-                                            next.spec.backends);
-      if (!submitted.ok()) {
-        if (submitted.status().code() == StatusCode::kResourceExhausted) {
-          return;  // queue full: retry after the next completion drains
-        }
-        // Unknown backend and friends: a per-request error, not a server
-        // fault — identical status text to the batch-mode failure.
-        server_->Send(next.conn,
-                      RenderErrorLine(next.spec.request.label,
-                                      submitted.status()) +
-                          "\n");
-        ++outcome_.failures;
-        backlog_.pop_front();
-        continue;
-      }
-      Route route;
-      route.conn = next.conn;
-      route.label = next.spec.request.label;
-      route.admission = next_admission_++;
-      outstanding_.emplace(submitted.value(), route);
-      // Pin the connection against the idle timeout while it has admitted
-      // work in the scheduler: its inbound side may go silent for the whole
-      // solve, and idling it out would drop the response it is owed.
-      if (++conn_outstanding_[next.conn] == 1) {
-        server_->SetIdleExempt(next.conn, true);
-      }
-      obs::MetricsRegistry::Global()
-          .GetGauge("net.requests.outstanding_max")
-          .SetMax(static_cast<double>(outstanding_.size()));
-      backlog_.pop_front();
-    }
-  }
-
-  void DrainCompletions() {
-    if (outstanding_.empty()) {
-      return;
-    }
-    std::vector<svc::JobId> ids;
-    ids.reserve(outstanding_.size());
-    for (const auto& [id, route] : outstanding_) {
-      ids.push_back(id);
-    }
-    for (const svc::JobId id : ids) {
-      svc::SolveResponse response;
-      if (!scheduler_->TryWait(id, &response)) {
-        continue;
-      }
-      const Route route = outstanding_.at(id);
-      outstanding_.erase(id);
-      if (auto pinned = conn_outstanding_.find(route.conn);
-          pinned != conn_outstanding_.end() && --pinned->second == 0) {
-        conn_outstanding_.erase(pinned);
-        server_->SetIdleExempt(route.conn, false);
-      }
-      overload_.RecordQueueDelay(response.metrics.queue_seconds * 1e3);
-      if (!response.status.ok()) {
-        ++outcome_.failures;
-      }
-      ++outcome_.responses;
-      const std::string line =
-          svc::RenderResponseLine(route.label, response) + "\n";
-      server_->Send(route.conn, line);
-      if (journal_ != nullptr) {
-        // Journal in admission order, not completion order: park the line
-        // in the reorder buffer until every earlier admission has landed.
-        journal_lines_.emplace(route.admission, line);
-        while (!journal_lines_.empty() &&
-               journal_lines_.begin()->first == journal_flushed_) {
-          *journal_ << journal_lines_.begin()->second << std::flush;
-          journal_lines_.erase(journal_lines_.begin());
-          ++journal_flushed_;
-        }
-      }
-    }
-  }
-
-  /// The in-band health response ({"type": "health"}): breaker states,
-  /// queue/backlog depths, shed counters, and drain status, rendered from
-  /// live state at answer time. Schema documented in DESIGN.md section 15.
-  std::string RenderHealthLine(const std::string& label) const {
-    obs::JsonValue line = obs::JsonValue::Object();
-    line.Set("label", label);
-    line.Set("status", std::string(StatusCodeName(StatusCode::kOk)));
-    line.Set("type", "health");
-    line.Set("draining", draining_);
-    line.Set("backlog", static_cast<std::int64_t>(backlog_.size()));
-    line.Set("outstanding", static_cast<std::int64_t>(outstanding_.size()));
-    line.Set("queue_depth",
-             static_cast<std::int64_t>(scheduler_->QueueDepth()));
-    line.Set("requests", outcome_.requests);
-    line.Set("responses", outcome_.responses);
-    line.Set("shed", outcome_.shed);
-    line.Set("delay_ewma_ms", overload_.delay_ewma_ms());
-    line.Set("watchdog_kills", scheduler_->WatchdogKills());
-    line.Set("breakers_enabled", scheduler_->breakers_enabled());
-    line.Set("open_breakers", scheduler_->OpenBreakerCount());
-    obs::JsonValue breakers = obs::JsonValue::Array();
-    for (const resilience::BreakerSnapshot& snapshot :
-         scheduler_->BreakerSnapshots()) {
-      obs::JsonValue entry = obs::JsonValue::Object();
-      entry.Set("backend", snapshot.backend);
-      entry.Set("state",
-                std::string(resilience::BreakerStateName(snapshot.state)));
-      entry.Set("consecutive_failures", snapshot.consecutive_failures);
-      entry.Set("cooldown_remaining", snapshot.cooldown_remaining);
-      entry.Set("opened", snapshot.opened);
-      entry.Set("closed", snapshot.closed);
-      entry.Set("short_circuits", snapshot.short_circuits);
-      entry.Set("probes", snapshot.probes);
-      breakers.Append(std::move(entry));
-    }
-    line.Set("breakers", std::move(breakers));
-    return line.Dump();
-  }
-
-  struct Backlogged {
-    std::uint64_t conn = 0;
-    svc::RequestSpec spec;
-  };
-
-  const ServeOptions& options_;
-  svc::JobScheduler* scheduler_;
-  std::ostream* journal_;
-  std::unique_ptr<net::Server> server_;
-  resilience::OverloadController overload_;
-  std::deque<Backlogged> backlog_;
-  std::map<svc::JobId, Route> outstanding_;
-  std::unordered_map<std::uint64_t, int> conn_lines_;
-  /// Admitted-but-unanswered job count per connection; non-zero pins the
-  /// connection against the idle timeout (see net::Server::SetIdleExempt).
-  std::unordered_map<std::uint64_t, int> conn_outstanding_;
-  std::map<std::uint64_t, std::string> journal_lines_;
-  std::uint64_t next_admission_ = 0;
-  std::uint64_t journal_flushed_ = 0;
-  bool draining_ = false;
-  SocketOutcome outcome_;
-};
 
 /// Writes one OpenMetrics snapshot of the global registry, atomically
 /// (tmp file + rename) so a scraper tailing the path never sees a torn
@@ -973,43 +291,67 @@ Status WritePromSnapshot(const std::string& path) {
   return Status::Ok();
 }
 
-/// Background periodic OpenMetrics snapshotter for long serve runs; writes
-/// every interval while the batch executes, and the caller writes one final
-/// snapshot after the scheduler drains.
-class PromSnapshotter {
- public:
-  PromSnapshotter(std::string path, int interval_ms)
-      : path_(std::move(path)), interval_ms_(interval_ms) {
-    if (interval_ms_ > 0) {
-      thread_ = std::thread([this] { Loop(); });
-    }
-  }
-  ~PromSnapshotter() {
-    if (thread_.joinable()) {
-      stop_.store(true, std::memory_order_relaxed);
-      thread_.join();
-    }
-  }
-
- private:
-  void Loop() {
-    int slept_ms = 0;
-    while (!stop_.load(std::memory_order_relaxed)) {
-      // Sleep in small slices so shutdown is prompt even with big intervals.
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      slept_ms += 5;
-      if (slept_ms >= interval_ms_) {
-        slept_ms = 0;
-        (void)WritePromSnapshot(path_);  // transient IO failures retry next tick
+/// Wires the mode's line source to the shared front-end and runs it. The
+/// tick callback is where the signal flag and the periodic OpenMetrics
+/// snapshots meet the serve loop.
+Result<svc::ServeOutcome> Serve(
+    const ServeOptions& options, const svc::SolverRegistry& registry,
+    svc::JobScheduler* scheduler, std::ostream* journal,
+    std::vector<svc::RequestSpec> specs,
+    const std::vector<svc::JournalEntry>& journaled) {
+  svc::FrontEnd front_end(scheduler,
+                          static_cast<std::size_t>(options.queue_cap),
+                          options.shed_target_ms, journal);
+  std::unique_ptr<svc::LineSource> source;
+  std::int64_t replayed_failures = 0;
+  if (options.listen_port >= 0) {
+    net::ServerOptions server_options;
+    server_options.port = options.listen_port;
+    server_options.max_connections = options.max_connections;
+    server_options.idle_timeout_ms = options.idle_timeout_ms;
+    server_options.max_line_bytes =
+        static_cast<std::size_t>(options.max_line_bytes);
+    QPLEX_ASSIGN_OR_RETURN(
+        std::unique_ptr<svc::SocketSource> socket,
+        svc::SocketSource::Create(std::move(server_options), &front_end));
+    const int port = socket->server().port();
+    if (!options.port_file.empty()) {
+      std::ofstream port_out(options.port_file, std::ios::trunc);
+      port_out << port << "\n";
+      if (!port_out) {
+        return Status::Internal("cannot write port file: " +
+                                options.port_file);
       }
     }
+    if (obs::EventsEnabled()) {
+      obs::EmitEvent(obs::EventLevel::kInfo, "net", "listening",
+                     {{"port", port},
+                      {"max_connections", options.max_connections},
+                      {"idle_timeout_ms", options.idle_timeout_ms}});
+    }
+    source = std::move(socket);
+  } else {
+    QPLEX_RETURN_IF_ERROR(ValidateJobs(specs, registry, options.queue_cap));
+    QPLEX_ASSIGN_OR_RETURN(replayed_failures, ReplayJournal(specs, journaled));
+    specs.erase(specs.begin(), specs.begin() + journaled.size());
+    source = std::make_unique<svc::BatchSource>(std::move(specs), &front_end);
   }
-
-  std::string path_;
-  int interval_ms_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
+  Stopwatch since_snapshot;
+  QPLEX_ASSIGN_OR_RETURN(
+      svc::ServeOutcome outcome, front_end.Run(source.get(), [&] {
+        if (options.metrics_prom_interval_ms > 0 &&
+            since_snapshot.ElapsedMillis() >=
+                options.metrics_prom_interval_ms) {
+          since_snapshot.Restart();
+          // Transient IO failures retry at the next interval.
+          (void)WritePromSnapshot(options.metrics_prom);
+        }
+        return g_signal != 0;
+      }));
+  outcome.failures += replayed_failures;
+  outcome.skipped = static_cast<std::int64_t>(journaled.size());
+  return outcome;
+}
 
 int Main(int argc, char** argv) {
   // Handlers go in before anything else so a signal during startup already
@@ -1072,17 +414,12 @@ int Main(int argc, char** argv) {
   // Journal setup. On --resume the valid prefix of the existing WAL is kept
   // (a torn tail line from a hard crash is truncated away) and the stream
   // reopens right after it; otherwise the journal starts fresh.
-  std::vector<JournalEntry> journaled;
+  std::vector<svc::JournalEntry> journaled;
   std::unique_ptr<std::ofstream> journal;
   if (!options.value().journal.empty()) {
     if (options.value().resume) {
-      Result<std::vector<JournalEntry>> read =
-          ReadJournal(options.value().journal);
-      if (!read.ok()) {
-        std::cerr << "failed to read journal: " << read.status() << "\n";
-        return 2;
-      }
-      journaled = std::move(read).value();
+      // No journal yet is a fresh run.
+      journaled = svc::ReadJournal(options.value().journal).value_or({});
     }
     journal = std::make_unique<std::ofstream>(options.value().journal,
                                               std::ios::trunc);
@@ -1090,7 +427,7 @@ int Main(int argc, char** argv) {
       std::cerr << "cannot open journal: " << options.value().journal << "\n";
       return 2;
     }
-    for (const JournalEntry& entry : journaled) {
+    for (const svc::JournalEntry& entry : journaled) {
       *journal << entry.line << "\n";
     }
     journal->flush();
@@ -1125,28 +462,11 @@ int Main(int argc, char** argv) {
                     {"resumed", static_cast<std::int64_t>(journaled.size())}});
   }
   Stopwatch watch;
-  Result<BatchOutcome> outcome = BatchOutcome{};
-  SocketOutcome socket_outcome;
+  Result<svc::ServeOutcome> outcome = svc::ServeOutcome{};
   {
-    PromSnapshotter snapshotter(options.value().metrics_prom,
-                                options.value().metrics_prom_interval_ms);
     svc::JobScheduler scheduler(&registry, scheduler_options);
-    if (socket_mode) {
-      SocketFrontEnd front_end(options.value(), &scheduler, journal.get());
-      Result<SocketOutcome> ran = front_end.Run();
-      if (!ran.ok()) {
-        outcome = ran.status();
-      } else {
-        socket_outcome = std::move(ran).value();
-        BatchOutcome as_batch;
-        as_batch.failures = static_cast<int>(socket_outcome.failures);
-        as_batch.interrupted = socket_outcome.interrupted;
-        outcome = as_batch;
-      }
-    } else {
-      outcome = RunBatch(&scheduler, std::move(specs), journal.get(),
-                         journaled);
-    }
+    outcome = Serve(options.value(), registry, &scheduler, journal.get(),
+                    std::move(specs), journaled);
   }
   const double wall_seconds = watch.ElapsedSeconds();
   if (!outcome.ok()) {
@@ -1161,8 +481,7 @@ int Main(int argc, char** argv) {
 
   auto& metrics = obs::MetricsRegistry::Global();
   const std::int64_t total =
-      metrics.GetCounter("svc.jobs.completed").Get() +
-      static_cast<std::int64_t>(outcome.value().skipped);
+      metrics.GetCounter("svc.jobs.completed").Get() + outcome.value().skipped;
   if (obs::EventsEnabled()) {
     obs::EmitEvent(
         obs::EventLevel::kInfo, "svc", "batch_end",
@@ -1170,10 +489,10 @@ int Main(int argc, char** argv) {
          {"failed", outcome.value().failures},
          {"skipped", outcome.value().skipped},
          {"interrupted", outcome.value().interrupted},
-         {"requests", socket_outcome.requests},
-         {"responses", socket_outcome.responses},
-         {"malformed", socket_outcome.malformed},
-         {"shed", socket_outcome.shed},
+         {"requests", outcome.value().requests},
+         {"responses", outcome.value().responses},
+         {"malformed", outcome.value().malformed},
+         {"shed", outcome.value().shed},
          {"retries", metrics.GetCounter("svc.retries.scheduled").Get()},
          {"fallbacks", metrics.GetCounter("svc.fallbacks.taken").Get()},
          {"cache_hits", metrics.GetCounter("svc.cache.hits").Get()},
