@@ -11,7 +11,7 @@
 //     solver_throw armed at every-3rd execution. Under one worker the
 //     per-site call order is the submission order, so which executions
 //     throw, how many retries run, and the summed solution sizes are all
-//     pure functions of the spec — safe to gate. (The svc.retries.backoff_ms
+//     pure functions of the spec — safe to gate. (The svc.phase.backoff_ms
 //     histogram is gated too: retry delays are a pure function of
 //     (seed, job, slot, attempt), not measured sleeps.)
 //

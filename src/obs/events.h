@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace qplex::obs {
 
@@ -122,12 +123,6 @@ void EmitEvent(EventLevel level, std::string_view solver,
                std::string_view event,
                std::initializer_list<std::pair<std::string_view, JsonValue>>
                    fields);
-
-/// The trace id (16 hex digits) of the request scope active on this thread,
-/// or empty outside any request. Defined in obs/reqtrace.cc; declared here so
-/// ProgressHeartbeat can key its throttle per request without events.h
-/// depending on the reqtrace header.
-std::string_view CurrentTraceToken();
 
 /// Rate-limited progress reporter for long-running loops. `Due()` is cheap
 /// enough to poll every loop iteration: an atomic load when no sink is

@@ -2,7 +2,7 @@
 
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/reqtrace.h"
+#include "obs/trace.h"
 
 namespace qplex::obs {
 
@@ -13,7 +13,7 @@ IncumbentReporter::IncumbentReporter(std::string_view solver)
   }
   solver_ = std::string(solver);
   trace_ = std::string(CurrentTraceToken());
-  if (const SpanContext* scope = RequestScope::Current()) {
+  if (const SpanContext* scope = TraceSpan::Current()) {
     path_ = scope->path;
   }
   payload_counter_ =

@@ -26,7 +26,7 @@ class Counter;
 /// produce byte-identical timelines regardless of wall-clock jitter;
 /// `elapsed_ms` rides along for wall-clock views only. `improvement` /
 /// `update` are 1-based per-reporter indices. `trace` and `path` are captured
-/// from the active RequestScope at construction, keying each timeline to the
+/// from the active request frame at construction, keying each timeline to the
 /// exact structural span (racer / retry attempt / fallback hop) that produced
 /// it — a retried attempt starts a fresh timeline instead of breaking the
 /// previous one's monotonicity.

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/events.h"
-#include "obs/reqtrace.h"
 
 namespace qplex::obs {
 
@@ -30,10 +29,6 @@ struct TraceNode {
 
 namespace {
 
-/// Per-thread stack of open spans; the stack is keyed per tracer so a
-/// test-local Tracer never interleaves with the global one.
-thread_local std::vector<std::pair<const Tracer*, TraceNode*>> tls_span_stack;
-
 TraceNodeSnapshot SnapshotNode(const TraceNode& node) {
   TraceNodeSnapshot snapshot;
   snapshot.name = node.name;
@@ -48,6 +43,13 @@ TraceNodeSnapshot SnapshotNode(const TraceNode& node) {
 
 }  // namespace
 }  // namespace internal
+
+namespace {
+
+/// The innermost live frame on this thread: the top of the span stack.
+thread_local TraceSpan* tls_top = nullptr;
+
+}  // namespace
 
 std::int64_t TraceNodeSnapshot::SelfNanos() const {
   std::int64_t children_nanos = 0;
@@ -75,37 +77,16 @@ TraceNodeSnapshot Tracer::Snapshot() const {
   return internal::SnapshotNode(*root_);
 }
 
-internal::TraceNode* Tracer::OpenSpan(std::string_view name) {
+internal::TraceNode* Tracer::Open(internal::TraceNode* parent,
+                                  std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  internal::TraceNode* parent = root_.get();
-  for (auto it = internal::tls_span_stack.rbegin();
-       it != internal::tls_span_stack.rend(); ++it) {
-    if (it->first == this) {
-      parent = it->second;
-      break;
-    }
-  }
-  internal::TraceNode* node = parent->FindOrCreateChild(name);
-  internal::tls_span_stack.emplace_back(this, node);
-  return node;
+  return (parent != nullptr ? parent : root_.get())->FindOrCreateChild(name);
 }
 
-void Tracer::CloseSpan(internal::TraceNode* node,
-                       std::int64_t elapsed_nanos) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++node->count;
-    node->total_nanos += elapsed_nanos;
-  }
-  // Spans are scoped objects, so this thread's innermost span for this
-  // tracer is necessarily `node`.
-  for (auto it = internal::tls_span_stack.rbegin();
-       it != internal::tls_span_stack.rend(); ++it) {
-    if (it->first == this) {
-      internal::tls_span_stack.erase(std::next(it).base());
-      break;
-    }
-  }
+void Tracer::Close(internal::TraceNode* node, std::int64_t elapsed_nanos) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++node->count;
+  node->total_nanos += elapsed_nanos;
 }
 
 Tracer& Tracer::Global() {
@@ -113,16 +94,162 @@ Tracer& Tracer::Global() {
   return *tracer;
 }
 
-TraceSpan::TraceSpan(std::string_view name, Tracer& tracer)
-    : tracer_(tracer), node_(tracer.OpenSpan(name)) {
-  if (EventsEnabled()) {
-    if (const SpanContext* request = RequestScope::Current()) {
-      bridge_ = std::make_unique<RequestScope>(ChildSpan(*request, name));
+std::uint64_t Fnv1a64(std::string_view text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::string IdHex(std::uint64_t id) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    hex[static_cast<std::size_t>(i)] = kDigits[id & 0xf];
+    id >>= 4;
+  }
+  return hex;
+}
+
+std::uint64_t DeriveTraceId(std::string_view label, std::int64_t job_id) {
+  std::string key = "qplex-trace:";
+  key.append(label);
+  key.push_back('#');
+  key.append(std::to_string(job_id));
+  return Fnv1a64(key);
+}
+
+SpanContext RootSpan(std::uint64_t trace_id, std::string_view name) {
+  SpanContext context;
+  context.trace_id = trace_id;
+  context.trace_hex = IdHex(trace_id);
+  context.parent_id = 0;
+  context.path = std::string(name);
+  context.name = std::string(name);
+  context.span_id = Fnv1a64(context.trace_hex + ":" + context.path);
+  return context;
+}
+
+SpanContext ChildSpan(const SpanContext& parent, std::string_view name,
+                      std::string_view qualifier) {
+  SpanContext context;
+  context.trace_id = parent.trace_id;
+  context.trace_hex = parent.trace_hex;
+  context.parent_id = parent.span_id;
+  context.name = std::string(name);
+  if (!qualifier.empty()) {
+    context.name.push_back('@');
+    context.name.append(qualifier);
+  }
+  context.path = parent.path + "/" + context.name;
+  context.span_id = Fnv1a64(context.trace_hex + ":" + context.path);
+  return context;
+}
+
+void EmitSpanEvent(const SpanContext& context, std::int64_t count,
+                   double total_ms) {
+  EmitEvent(EventLevel::kDebug, "trace", "span",
+            {{"trace", JsonValue(context.trace_hex)},
+             {"span", JsonValue(IdHex(context.span_id))},
+             {"parent", JsonValue(IdHex(context.parent_id))},
+             {"name", JsonValue(context.name)},
+             {"path", JsonValue(context.path)},
+             {"count", JsonValue(count)},
+             {"dur_ms", JsonValue(total_ms)}});
+}
+
+SpanCollector::~SpanCollector() { Flush(); }
+
+void SpanCollector::Record(const SpanContext& context, double elapsed_ms) {
+  Node& node = nodes_[context.path];
+  if (node.count == 0) {
+    node.context = context;
+  }
+  node.count += 1;
+  node.total_ms += elapsed_ms;
+}
+
+void SpanCollector::Flush() {
+  for (const auto& [path, node] : nodes_) {
+    EmitSpanEvent(node.context, node.count, node.total_ms);
+  }
+  nodes_.clear();
+}
+
+internal::TraceNode* TraceSpan::TreeParent(const TraceSpan* frame,
+                                           const Tracer& tracer) {
+  for (; frame != nullptr; frame = frame->outer_) {
+    if (frame->tracer_ == &tracer) {
+      return frame->node_;
     }
+  }
+  return nullptr;
+}
+
+TraceSpan::TraceSpan(std::string_view name, Tracer& tracer)
+    : outer_(tls_top),
+      tracer_(&tracer),
+      node_(tracer.Open(TreeParent(outer_, tracer), name)),
+      context_(EventsEnabled() ? ChildOfCurrent(name) : std::nullopt),
+      request_(context_.has_value() ? &*context_ : Current()),
+      collector_(CurrentCollector()) {
+  tls_top = this;
+}
+
+TraceSpan::TraceSpan(std::optional<SpanContext> context,
+                     SpanCollector* collector)
+    : outer_(tls_top),
+      context_(std::move(context)),
+      request_(context_.has_value() ? &*context_ : Current()),
+      collector_(collector != nullptr ? collector : CurrentCollector()) {
+  tls_top = this;
+}
+
+TraceSpan::~TraceSpan() {
+  const std::int64_t elapsed_nanos = watch_.ElapsedNanos();
+  if (node_ != nullptr) {
+    tracer_->Close(node_, elapsed_nanos);
+  }
+  if (context_.has_value() && collector_ != nullptr) {
+    collector_->Record(*context_, elapsed_nanos * 1e-6);
+  }
+  // Frames are scoped objects, so this one is necessarily the top.
+  tls_top = outer_;
+}
+
+const SpanContext* TraceSpan::Current() {
+  return tls_top == nullptr ? nullptr : tls_top->request_;
+}
+
+SpanCollector* TraceSpan::CurrentCollector() {
+  return tls_top == nullptr ? nullptr : tls_top->collector_;
+}
+
+std::optional<SpanContext> TraceSpan::ChildOfCurrent(
+    std::string_view name, std::string_view qualifier) {
+  const SpanContext* current = Current();
+  if (current == nullptr) {
+    return std::nullopt;
+  }
+  return ChildSpan(*current, name, qualifier);
+}
+
+void TraceSpan::RecordChild(std::string_view name, double elapsed_ms,
+                            std::string_view qualifier) {
+  const SpanContext* current = Current();
+  SpanCollector* collector = CurrentCollector();
+  if (current != nullptr && collector != nullptr) {
+    collector->Record(ChildSpan(*current, name, qualifier), elapsed_ms);
   }
 }
 
-TraceSpan::~TraceSpan() { tracer_.CloseSpan(node_, watch_.ElapsedNanos()); }
+std::string_view CurrentTraceToken() {
+  const SpanContext* current = TraceSpan::Current();
+  return current == nullptr ? std::string_view{}
+                            : std::string_view(current->trace_hex);
+}
 
 namespace {
 

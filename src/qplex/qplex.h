@@ -53,7 +53,6 @@
 #include "common/table.h"
 #include "embed/hardware.h"
 #include "embed/minor_embedding.h"
-#include "graph/decomposition.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/instances.h"
@@ -73,7 +72,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
-#include "obs/reqtrace.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "milp/qubo_linearization.h"

@@ -78,7 +78,8 @@ void FrontEnd::OnLine(std::uint64_t conn, const std::string& line) {
   const int line_number = ++conn_lines_[conn];
   obs::MetricsRegistry::Global().GetCounter("net.requests.received")
       .Increment();
-  Result<RequestSpec> parsed = ParseRequestLine(line, line_number);
+  Result<RequestSpec> parsed =
+      ParseRequestLine(line, line_number, source_->AllowsFileInputs());
   if (!parsed.ok()) {
     ++outcome_.requests;
     ++outcome_.malformed;

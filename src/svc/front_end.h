@@ -63,6 +63,10 @@ class LineSource {
   /// Pushes queued responses out: every tick, and a bounded tail at exit.
   virtual void Flush() {}
   virtual void FinalFlush() {}
+  /// Whether a request line may name a graph file on this host ("input").
+  /// A source whose lines come from remote clients says no: they send their
+  /// graph inline.
+  virtual bool AllowsFileInputs() const { return true; }
 };
 
 class FrontEnd {
@@ -81,7 +85,8 @@ class FrontEnd {
                            const std::function<bool()>& tick);
 
   /// One raw line from `conn`: blank and '#' lines are skipped, malformed
-  /// ones answered with an error line, the rest Accept()ed.
+  /// ones (file inputs included, unless the source allows them) answered
+  /// with an error line, the rest Accept()ed.
   void OnLine(std::uint64_t conn, const std::string& line);
   /// One parsed request: health probes are answered in place, never
   /// journaled; solve requests pass admission into the backlog or are shed.
@@ -165,6 +170,7 @@ class SocketSource : public LineSource {
   }
   void Flush() override { server_->FlushWritable(); }
   void FinalFlush() override { server_->DrainWrites(/*timeout_ms=*/2000); }
+  bool AllowsFileInputs() const override { return false; }
 
  private:
   explicit SocketSource(FrontEnd* front_end) : front_end_(front_end) {}

@@ -70,7 +70,8 @@ Result<Graph> ParseInlineGraph(const obs::JsonValue& spec, int line_number) {
   return MakeGraph(static_cast<int>(num_vertices), edges);
 }
 
-Result<Graph> LoadRequestGraph(const obs::JsonValue& line, int line_number) {
+Result<Graph> LoadRequestGraph(const obs::JsonValue& line, int line_number,
+                               bool allow_file_input) {
   if (const obs::JsonValue* inline_graph = line.Find("graph");
       inline_graph != nullptr) {
     return ParseInlineGraph(*inline_graph, line_number);
@@ -80,6 +81,10 @@ Result<Graph> LoadRequestGraph(const obs::JsonValue& line, int line_number) {
     return Status::InvalidArgument(
         "request needs \"graph\" or \"input\" at line " +
         std::to_string(line_number));
+  }
+  if (!allow_file_input) {
+    return FieldError("input", "is not accepted here; send the graph inline",
+                      line_number);
   }
   std::string format = "dimacs";
   if (const obs::JsonValue* f = line.Find("format"); f != nullptr) {
@@ -102,8 +107,8 @@ bool IsBlankOrComment(const std::string& line) {
   return first == std::string::npos || line[first] == '#';
 }
 
-Result<RequestSpec> ParseRequestLine(const std::string& text,
-                                     int line_number) {
+Result<RequestSpec> ParseRequestLine(const std::string& text, int line_number,
+                                     bool allow_file_input) {
   QPLEX_ASSIGN_OR_RETURN(obs::JsonValue line, obs::JsonValue::Parse(text));
   if (!line.is_object()) {
     return FieldError("request", "must be a JSON object", line_number);
@@ -132,8 +137,9 @@ Result<RequestSpec> ParseRequestLine(const std::string& text,
                                      std::to_string(line_number));
     }
   }
-  QPLEX_ASSIGN_OR_RETURN(spec.request.graph,
-                         LoadRequestGraph(line, line_number));
+  QPLEX_ASSIGN_OR_RETURN(
+      spec.request.graph,
+      LoadRequestGraph(line, line_number, allow_file_input));
   if (const obs::JsonValue* k = line.Find("k"); k != nullptr) {
     QPLEX_ASSIGN_OR_RETURN(spec.request.k,
                            NonNegativeInt(*k, "k", line_number));

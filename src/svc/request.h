@@ -11,7 +11,7 @@
 ///
 ///   {"id": "j1", "k": 2, "backend": "bs", "seed": 7, "deadline_ms": 500,
 ///    "graph": {"n": 8, "edges": [[0,1],[1,2]]},      // inline instance, or
-///    "input": "graph.col", "format": "dimacs",       // a graph file
+///    "input": "graph.col", "format": "dimacs",       // a graph file (batch)
 ///    "backends": ["bs", "sa"],                       // portfolio race
 ///    "options": {"shots": 50}}                       // backend knobs
 
@@ -48,7 +48,10 @@ bool IsBlankOrComment(const std::string& line);
 /// range-checked, so a bad value is an InvalidArgument naming the field,
 /// never an abort or a wrapped number. Blank lines and '#' comments are the
 /// *caller's* concern — this function expects a non-empty candidate request.
-Result<RequestSpec> ParseRequestLine(const std::string& text, int line_number);
+/// Unless `allow_file_input`, an "input" file path is an InvalidArgument:
+/// only the operator's own job file may make the server open local files.
+Result<RequestSpec> ParseRequestLine(const std::string& text, int line_number,
+                                     bool allow_file_input = true);
 
 /// Solution members as the space-joined vertex list used by journal lines,
 /// job_end events, and socket responses.

@@ -12,7 +12,6 @@
 
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/reqtrace.h"
 #include "obs/trace.h"
 #include "resilience/fault_injection.h"
 #include "svc/graph_hash.h"
@@ -388,24 +387,20 @@ void JobScheduler::Execute(const SubTask& task, int worker) {
 
   SolveResponse response;
   {
-    // Request scope for this racer execution. The collector is declared
-    // first so the racer scope records itself into it before it flushes;
-    // with no sink installed neither is constructed and the whole block
-    // costs two null checks.
-    std::optional<obs::SpanCollector> collector;
-    std::optional<obs::RequestScope> racer_scope;
+    // The racer frame roots this execution in the job's trace and makes
+    // `collector` (declared first, so the racer records itself into it
+    // before it flushes) the sink of every span nested in it. With no event
+    // sink installed the frame carries no context, so every request frame
+    // below is inert.
+    obs::SpanCollector collector;
+    std::optional<obs::SpanContext> racer;
     if (obs::EventsEnabled()) {
-      collector.emplace();
-      racer_scope.emplace(
-          obs::ChildSpan(obs::RootSpan(trace_id, "job"), "racer", backend),
-          &*collector);
+      racer = obs::ChildSpan(obs::RootSpan(trace_id, "job"), "racer", backend);
     }
+    obs::TraceSpan racer_span(std::move(racer), &collector);
     {
-      std::optional<obs::RequestScope> attempt_scope;
-      if (racer_scope.has_value()) {
-        attempt_scope.emplace(obs::ChildSpan(
-            racer_scope->context(), "attempt", std::to_string(task.attempt)));
-      }
+      obs::TraceSpan attempt_span(obs::TraceSpan::ChildOfCurrent(
+          "attempt", std::to_string(task.attempt)));
       Stopwatch attempt_watch;
       response = RunBackend(job, backend, task.attempt);
       registry.GetHistogram("svc.phase.attempt_wall_ms")
@@ -490,13 +485,10 @@ void JobScheduler::Execute(const SubTask& task, int worker) {
 SolveResponse JobScheduler::RunBackend(Job& job, const std::string& backend,
                                        int attempt) {
   auto& registry = obs::MetricsRegistry::Global();
+  // With events on this is also the attempt's structural child; the phase
+  // spans below hang off it so the whole attempt reconstructs as one
+  // subtree.
   obs::TraceSpan span("svc.job");
-
-  // Non-null exactly when Execute opened the attempt scope (events on); the
-  // phase spans below hang off it so the whole attempt reconstructs as one
-  // subtree. Note Current() is now the span the TraceSpan above bridged in.
-  const obs::SpanContext* attempt_span = obs::RequestScope::Current();
-  obs::SpanCollector* collector = obs::RequestScope::CurrentCollector();
 
   SolveResponse response;
   response.backend = backend;
@@ -504,28 +496,22 @@ SolveResponse JobScheduler::RunBackend(Job& job, const std::string& backend,
   if (attempt == 1) {
     // Admission accounting happens once per slot; retries are continuations
     // of the same admission, not new jobs.
-    registry.GetHistogram("svc.queue_wait_seconds")
-        .Record(response.metrics.queue_seconds);
     registry.GetHistogram("svc.phase.queue_wait_wall_ms")
         .Record(response.metrics.queue_seconds * 1e3);
     registry.GetCounter("svc.backend." + backend + ".jobs").Increment();
-    if (collector != nullptr && attempt_span != nullptr) {
-      // The wait already happened (between Enqueue and now), so the span is
-      // recorded directly instead of scoped.
-      collector->Record(obs::ChildSpan(*attempt_span, "queue"),
-                        response.metrics.queue_seconds * 1e3);
-    }
+    // The wait already happened (between Enqueue and now), so the span is
+    // recorded directly instead of scoped.
+    obs::TraceSpan::RecordChild("queue", response.metrics.queue_seconds * 1e3);
   }
 
   std::string key;
   if (cache_ != nullptr) {
     key = CacheKey(job.request, backend);
     if (attempt == 1) {
-      Stopwatch lookup_watch;
-      std::optional<SolveResponse> cached = cache_->Lookup(key);
-      if (collector != nullptr && attempt_span != nullptr) {
-        collector->Record(obs::ChildSpan(*attempt_span, "cache"),
-                          lookup_watch.ElapsedMillis());
+      std::optional<SolveResponse> cached;
+      {
+        obs::TraceSpan cache_span(obs::TraceSpan::ChildOfCurrent("cache"));
+        cached = cache_->Lookup(key);
       }
       if (cached.has_value()) {
         const double queue_seconds = response.metrics.queue_seconds;
@@ -548,10 +534,7 @@ SolveResponse JobScheduler::RunBackend(Job& job, const std::string& backend,
   Stopwatch watch;
   Execution execution;
   {
-    std::optional<obs::RequestScope> solve_scope;
-    if (attempt_span != nullptr) {
-      solve_scope.emplace(obs::ChildSpan(*attempt_span, "solve"));
-    }
+    obs::TraceSpan solve_span(obs::TraceSpan::ChildOfCurrent("solve"));
     execution = ExecuteGuarded(job, backend, attempt);
   }
   Result<SolveOutcome>& outcome = execution.outcome;
@@ -687,9 +670,6 @@ SolveResponse JobScheduler::RunFallbackChain(Job& job,
                                              SolveResponse response,
                                              Status original) {
   auto& registry = obs::MetricsRegistry::Global();
-  // The chain hangs off whatever span is innermost at entry (the attempt
-  // subtree), so degraded executions stay inside the job's trace.
-  const obs::SpanContext* parent_span = obs::RequestScope::Current();
   const std::string reason = original.ToString();
   std::vector<std::string> visited{backend};
   std::string current = backend;
@@ -722,12 +702,12 @@ SolveResponse JobScheduler::RunFallbackChain(Job& job,
     Stopwatch watch;
     Execution execution;
     {
-      std::optional<obs::RequestScope> hop_scope;
-      std::optional<obs::RequestScope> solve_scope;
-      if (parent_span != nullptr) {
-        hop_scope.emplace(obs::ChildSpan(*parent_span, "fallback", current));
-        solve_scope.emplace(obs::ChildSpan(hop_scope->context(), "solve"));
-      }
+      // Each hop hangs off the innermost frame at entry (the failed
+      // attempt's svc.job span), so degraded executions stay inside the
+      // job's trace.
+      obs::TraceSpan hop_span(
+          obs::TraceSpan::ChildOfCurrent("fallback", current));
+      obs::TraceSpan solve_span(obs::TraceSpan::ChildOfCurrent("solve"));
       execution = ExecuteGuarded(job, current, 1);
     }
     Result<SolveOutcome>& outcome = execution.outcome;
@@ -806,18 +786,12 @@ void JobScheduler::ScheduleRetry(const SubTask& task, int worker,
 
   registry.GetCounter("svc.retries.scheduled").Increment();
   registry.GetCounter("svc.backend." + backend + ".retries").Increment();
-  registry.GetHistogram("svc.retries.backoff_ms").Record(delay_ms);
   registry.GetHistogram("svc.phase.backoff_ms").Record(delay_ms);
-  if (obs::SpanCollector* collector = obs::RequestScope::CurrentCollector()) {
-    // Current() is the racer scope here (the attempt scope closed before the
-    // retry decision), so backoffs sit between attempt subtrees. The span's
-    // duration is the computed delay, matching the histograms.
-    if (const obs::SpanContext* racer = obs::RequestScope::Current()) {
-      collector->Record(
-          obs::ChildSpan(*racer, "backoff", std::to_string(task.attempt)),
-          delay_ms);
-    }
-  }
+  // The innermost frame is the racer here (the attempt frame closed before
+  // the retry decision), so backoffs sit between attempt subtrees. The
+  // span's duration is the computed delay, matching the histogram.
+  obs::TraceSpan::RecordChild("backoff", delay_ms,
+                              std::to_string(task.attempt));
   if (obs::EventsEnabled()) {
     registry.GetCounter("svc.events.payloads_built").Increment();
     obs::EmitEvent(obs::EventLevel::kWarn, "svc", "job_retry",

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "graph/decomposition.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/instances.h"
@@ -179,62 +178,6 @@ TEST(KPlexTest, MaskBitsetConversions) {
   VertexBitset set = MaskToBitset(6, mask);
   EXPECT_EQ(set.ToList(), (VertexList{0, 2, 5}));
   EXPECT_EQ(BitsetToMask(set), mask);
-}
-
-// -- decompositions -----------------------------------------------------------
-
-TEST(DecompositionTest, CoreNumbersOfCompleteGraph) {
-  Graph graph = CompleteGraph(6);
-  for (int c : CoreNumbers(graph)) {
-    EXPECT_EQ(c, 5);
-  }
-  EXPECT_EQ(Degeneracy(graph), 5);
-}
-
-TEST(DecompositionTest, CoreNumbersOfStar) {
-  Graph graph = StarGraph(7);
-  const auto core = CoreNumbers(graph);
-  for (int v = 0; v < 7; ++v) {
-    EXPECT_EQ(core[v], 1);
-  }
-}
-
-TEST(DecompositionTest, CoreNumbersOfKarate) {
-  // Zachary's karate club has degeneracy 4.
-  EXPECT_EQ(Degeneracy(KarateClub()), 4);
-}
-
-TEST(DecompositionTest, DegeneracyOrderingIsPermutation) {
-  auto graph = RandomGnm(20, 50, 9).value();
-  VertexList order = DegeneracyOrdering(graph);
-  std::sort(order.begin(), order.end());
-  for (int v = 0; v < 20; ++v) {
-    EXPECT_EQ(order[v], v);
-  }
-}
-
-TEST(DecompositionTest, TriangleCounts) {
-  EXPECT_EQ(CountTriangles(CompleteGraph(5)), 10);
-  EXPECT_EQ(CountTriangles(CycleGraph(5).value()), 0);
-  EXPECT_EQ(CountTriangles(PetersenGraph()), 0);
-  EXPECT_EQ(CountTriangles(KarateClub()), 45);
-}
-
-TEST(DecompositionTest, EdgeSupportsOfTriangle) {
-  Graph graph = CompleteGraph(3);
-  for (int s : EdgeSupports(graph)) {
-    EXPECT_EQ(s, 1);
-  }
-}
-
-TEST(DecompositionTest, GreedyColoringIsProper) {
-  auto graph = RandomGnm(25, 80, 17).value();
-  const auto color = GreedyColoring(graph);
-  for (const auto& [u, v] : graph.Edges()) {
-    EXPECT_NE(color[u], color[v]);
-  }
-  const int max_color = *std::max_element(color.begin(), color.end());
-  EXPECT_LE(max_color, Degeneracy(graph));
 }
 
 // -- generators ---------------------------------------------------------------

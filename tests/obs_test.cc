@@ -19,7 +19,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
-#include "obs/reqtrace.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 
@@ -614,35 +613,35 @@ TEST(ReqTraceTest, ChildSpansChainPathsAndParents) {
 }
 
 TEST(ReqTraceTest, RequestScopeStacksPerThread) {
-  EXPECT_EQ(RequestScope::Current(), nullptr);
-  EXPECT_EQ(RequestScope::CurrentCollector(), nullptr);
+  EXPECT_EQ(TraceSpan::Current(), nullptr);
+  EXPECT_EQ(TraceSpan::CurrentCollector(), nullptr);
   EXPECT_TRUE(CurrentTraceToken().empty());
 
   const SpanContext root = RootSpan(DeriveTraceId("scoped", 3), "job");
   SpanCollector collector;
   {
-    RequestScope outer(root, &collector);
-    ASSERT_NE(RequestScope::Current(), nullptr);
-    EXPECT_EQ(RequestScope::Current()->span_id, root.span_id);
-    EXPECT_EQ(RequestScope::CurrentCollector(), &collector);
+    TraceSpan outer(root, &collector);
+    ASSERT_NE(TraceSpan::Current(), nullptr);
+    EXPECT_EQ(TraceSpan::Current()->span_id, root.span_id);
+    EXPECT_EQ(TraceSpan::CurrentCollector(), &collector);
     EXPECT_EQ(CurrentTraceToken(), root.trace_hex);
     {
-      RequestScope inner(ChildSpan(root, "solve"));
-      EXPECT_EQ(RequestScope::Current()->path, "job/solve");
+      TraceSpan inner(ChildSpan(root, "solve"));
+      EXPECT_EQ(TraceSpan::Current()->path, "job/solve");
       // The inner scope inherits the outer scope's collector.
-      EXPECT_EQ(RequestScope::CurrentCollector(), &collector);
+      EXPECT_EQ(TraceSpan::CurrentCollector(), &collector);
     }
-    EXPECT_EQ(RequestScope::Current()->span_id, root.span_id);
+    EXPECT_EQ(TraceSpan::Current()->span_id, root.span_id);
 
     // Another thread sees an empty stack: scopes are thread-local, which is
     // why solver-internal worker threads never attach orphan spans.
     std::thread([] {
-      EXPECT_EQ(RequestScope::Current(), nullptr);
+      EXPECT_EQ(TraceSpan::Current(), nullptr);
       EXPECT_TRUE(CurrentTraceToken().empty());
     }).join();
   }
-  EXPECT_EQ(RequestScope::Current(), nullptr);
-  EXPECT_EQ(RequestScope::CurrentCollector(), nullptr);
+  EXPECT_EQ(TraceSpan::Current(), nullptr);
+  EXPECT_EQ(TraceSpan::CurrentCollector(), nullptr);
   // Both closed scopes were recorded into the collector.
   EXPECT_EQ(collector.size(), 2u);
 }
@@ -692,7 +691,7 @@ TEST(ReqTraceTest, TraceSpanBridgesIntoActiveRequestScope) {
   {
     SpanCollector collector;
     {
-      RequestScope scope(root, &collector);
+      TraceSpan scope(root, &collector);
       TraceSpan solver_span("solver.work");  // bridges under the scope
     }
   }
@@ -747,7 +746,7 @@ TEST(EventSinkTest, HeartbeatPicksUpActiveRequestScope) {
   const SpanContext job_a = RootSpan(DeriveTraceId("job-a", 1), "job");
   const SpanContext job_b = RootSpan(DeriveTraceId("job-b", 2), "job");
   {
-    RequestScope scope(job_a);
+    TraceSpan scope(job_a);
     EXPECT_TRUE(heartbeat.Due());
     heartbeat.Emit({{"nodes", 10}});
     EXPECT_FALSE(heartbeat.Due());
@@ -756,7 +755,7 @@ TEST(EventSinkTest, HeartbeatPicksUpActiveRequestScope) {
     // A different request: its first heartbeat through the same solver site
     // is due despite job A having just emitted (the regression this guards:
     // un-scoped keys let one racing job starve the other's heartbeats).
-    RequestScope scope(job_b);
+    TraceSpan scope(job_b);
     EXPECT_TRUE(heartbeat.Due());
     heartbeat.Emit({{"nodes", 20}});
   }

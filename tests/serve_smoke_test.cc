@@ -2,8 +2,9 @@
 // mixed-backend JSONL batch must stream one parseable job_end event per job,
 // produce byte-identical solutions across repeated runs and across worker
 // counts (fixed seeds), short-circuit repeated instances through the result
-// cache, honour millisecond deadlines, and reject malformed job files with
-// exit code 2. The binary path is injected by CMake as QPLEX_SERVE_PATH.
+// cache, honour millisecond deadlines, load graphs named by "input", and
+// reject malformed job files with exit code 2. The binary path is injected
+// by CMake as QPLEX_SERVE_PATH.
 
 #include <gtest/gtest.h>
 
@@ -32,9 +33,15 @@
 namespace qplex {
 namespace {
 
+/// The running test's own scratch directory: ctest runs these tests as
+/// concurrent processes, and a job file shared between two of them could be
+/// rewritten while a server is reading it.
 std::filesystem::path TempDir() {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "qplex_serve_smoke";
+      std::filesystem::temp_directory_path() / "qplex_serve_smoke" /
+      (std::string(test->test_suite_name()) + "." + test->name());
   std::filesystem::create_directories(dir);
   return dir;
 }
@@ -276,6 +283,34 @@ TEST(ServeSmokeTest, SolvesBeyond64VerticesThroughClassicalBackends) {
   }
   // BS is exact: it must recover at least the planted plex.
   EXPECT_GE(run.jobs.at("wide-bs").size, planted);
+}
+
+TEST(ServeSmokeTest, BatchJobLoadsItsGraphFromADimacsInputFile) {
+  // The operator's own job file may name graph files on this host (socket
+  // clients may not; see ServeSocketTest).
+  const std::filesystem::path graph = TempDir() / "two_block.col";
+  {
+    std::ofstream out(graph);
+    out << "c two K4 blocks joined by one edge\n"
+        << "p edge 8 12\n"
+        << "e 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\ne 4 5\n"
+        << "e 5 6\ne 5 7\ne 6 7\ne 6 8\ne 7 8\n";
+  }
+  const std::filesystem::path jobs = TempDir() / "input_batch.jsonl";
+  {
+    std::ofstream out(jobs);
+    out << R"({"id":"from-file","k":2,"backend":"bs","input":")"
+        << graph.string() << R"(","format":"dimacs"})" << "\n";
+  }
+  const std::filesystem::path events = TempDir() / "events_input.jsonl";
+  ASSERT_EQ(
+      RunServe("--jobs " + jobs.string() + " --events " + events.string()), 0);
+  const BatchRun run = ParseEvents(events);
+  EXPECT_EQ(run.batch_jobs, 1);
+  EXPECT_EQ(run.batch_failed, 0);
+  ASSERT_TRUE(run.jobs.count("from-file"));
+  EXPECT_EQ(run.jobs.at("from-file").status, "OK");
+  EXPECT_EQ(run.jobs.at("from-file").size, 4);
 }
 
 TEST(ServeSmokeTest, CacheOffForcesEveryJobToExecute) {

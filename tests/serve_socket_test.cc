@@ -1,10 +1,10 @@
 // End-to-end test of qplex_serve --listen: four concurrent loopback clients
 // multiplexed onto one scheduler with per-client response routing, the
 // record/replay determinism contract (byte-identical --journal), per-request
-// errors for malformed lines on a surviving connection, oversize-line
-// rejection, and the graceful SIGTERM drain (in-flight responses all arrive,
-// exit code 0). Server and client binary paths are injected by CMake as
-// QPLEX_SERVE_PATH / QPLEX_CLIENT_PATH.
+// errors for malformed lines and refused file inputs on a surviving
+// connection, oversize-line rejection, and the graceful SIGTERM drain
+// (in-flight responses all arrive, exit code 0). Server and client binary
+// paths are injected by CMake as QPLEX_SERVE_PATH / QPLEX_CLIENT_PATH.
 
 #include <gtest/gtest.h>
 
@@ -299,6 +299,53 @@ TEST(ServeSocketTest, MalformedLineEarnsErrorAndConnectionSurvives) {
 
   net::CloseFd(fd.value());
   EXPECT_EQ(serve.Stop(), 0);
+}
+
+TEST(ServeSocketTest, FileInputIsRefusedAndConnectionSurvives) {
+  // A socket client must not make the server open files on its host: an
+  // "input" path earns a per-request InvalidArgument, even when the file
+  // exists and parses.
+  const std::filesystem::path dir = TempDir("file_input");
+  const std::filesystem::path graph = dir / "triangle.col";
+  {
+    std::ofstream out(graph);
+    out << "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n";
+  }
+  ServeProcess serve(dir);
+  ASSERT_GT(serve.port(), 0) << ReadFile(dir / "serve.err");
+
+  Result<int> fd = net::ConnectLoopback(serve.port());
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  net::FrameSplitter splitter;
+  ASSERT_TRUE(SendAll(fd.value(), "{\"id\":\"file\",\"k\":1,\"input\":\"" +
+                                      graph.string() + "\"}\n")
+                  .ok());
+  Result<std::string> error = ReadLine(fd.value(), splitter);
+  ASSERT_TRUE(error.ok()) << error.status();
+  Result<obs::JsonValue> parsed = obs::JsonValue::Parse(error.value());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().Find("status")->AsString(), "InvalidArgument");
+  EXPECT_EQ(parsed.value().Find("error")->AsString().rfind("input ", 0), 0u)
+      << error.value();
+
+  // The same connection still solves an inline request.
+  ASSERT_TRUE(
+      SendAll(fd.value(), std::string("{\"id\":\"inline\",\"k\":2,"
+                                      "\"backend\":\"bs\",\"graph\":") +
+                              kBlockGraph + "}\n")
+          .ok());
+  Result<std::string> response = ReadLine(fd.value(), splitter);
+  ASSERT_TRUE(response.ok()) << response.status();
+  parsed = obs::JsonValue::Parse(response.value());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().Find("label")->AsString(), "inline");
+  EXPECT_EQ(parsed.value().Find("status")->AsString(), "OK");
+
+  net::CloseFd(fd.value());
+  EXPECT_EQ(serve.Stop(), 0);
+  // Refused requests never reach the journal.
+  EXPECT_EQ(Labels(ReadFile(dir / "journal.jsonl")),
+            std::vector<std::string>{"inline"});
 }
 
 TEST(ServeSocketTest, HealthRequestAnsweredInPlaceAndNeverJournaled) {

@@ -11,7 +11,9 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -30,7 +32,7 @@
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/reqtrace.h"
+#include "obs/trace.h"
 #include "quantum/statevector.h"
 #include "resilience/fault_injection.h"
 #include "resilience/retry.h"
@@ -949,8 +951,10 @@ class ScopeProbeSolver : public Solver {
   std::string_view name() const override { return "probe"; }
   Result<SolveOutcome> Solve(const SolveRequest&,
                              const SolveContext&) const override {
-    const obs::SpanContext* scope = obs::RequestScope::Current();
+    const obs::SpanContext* scope = obs::TraceSpan::Current();
     if (scope != nullptr) {
+      // Racing jobs solve on several workers at once.
+      std::lock_guard<std::mutex> lock(mutex_);
       observed_paths_.push_back(scope->path);
     }
     obs::ProgressHeartbeat heartbeat("probe");
@@ -963,6 +967,7 @@ class ScopeProbeSolver : public Solver {
     return outcome;
   }
 
+  mutable std::mutex mutex_;
   mutable std::vector<std::string> observed_paths_;
 };
 
@@ -1126,6 +1131,126 @@ TEST_F(SchedulerTest, SeededChaosRunYieldsConnectedByteIdenticalTraces) {
   // Structural span ids + deterministic single-worker scheduling: the whole
   // reconstructed forest renders byte-identically across same-seed runs.
   EXPECT_EQ(first, second) << first;
+}
+
+/// Fails transiently on its first call, then with a degradable
+/// kResourceExhausted: one retry, then the fallback chain.
+class RelapsingSolver : public Solver {
+ public:
+  std::string_view name() const override { return "relapse"; }
+  Result<SolveOutcome> Solve(const SolveRequest&,
+                             const SolveContext&) const override {
+    if (calls_.fetch_add(1) == 0) {
+      return Status::Internal("relapse: transient failure");
+    }
+    return Status::ResourceExhausted("relapse: memory budget breach");
+  }
+
+ private:
+  mutable std::atomic<int> calls_{0};
+};
+
+/// "name count=N" per node, indented two spaces per level.
+void FlattenTraceNode(const obs::TraceNodeSnapshot& node, int depth,
+                      std::vector<std::string>* out) {
+  out->push_back(std::string(2 * depth, ' ') + node.name +
+                 " count=" + std::to_string(node.count));
+  for (const obs::TraceNodeSnapshot& child : node.children) {
+    FlattenTraceNode(child, depth + 1, out);
+  }
+}
+
+TEST_F(SchedulerTest, RetryThenFallbackJobPinsSpanAndTraceTreeShape) {
+  // The span contract of one job, pinned literally: a cache miss, one
+  // transient retry, then a degradable failure walked down to bs. Both
+  // sinks are checked: the "span" event lines (path, count and parent
+  // link) and the aggregated trace tree under svc.job.
+  const std::filesystem::path path = SvcEventsPath("contract.jsonl");
+  Result<std::unique_ptr<obs::EventSink>> sink =
+      obs::EventSink::Open(path.string());
+  ASSERT_TRUE(sink.ok()) << sink.status();
+  obs::EventSink::InstallGlobal(sink.value().get());
+  obs::Tracer::Global().Reset();
+
+  SolverRegistry registry = MakeBuiltinRegistry();
+  ASSERT_TRUE(registry.Register(std::make_unique<RelapsingSolver>()).ok());
+  ASSERT_TRUE(registry.SetFallback("relapse", "bs").ok());
+  {
+    JobSchedulerOptions options = FastRetryOptions();
+    options.num_workers = 1;
+    JobScheduler scheduler(&registry, options);
+    SolveRequest request = Request("relapse");
+    request.label = "contract";
+    const Result<JobId> id = scheduler.Submit(std::move(request));
+    ASSERT_TRUE(id.ok()) << id.status();
+    const SolveResponse response = scheduler.Wait(id.value());
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    EXPECT_EQ(response.backend, "bs");
+    EXPECT_EQ(response.attempts, 2);
+  }
+  obs::EventSink::InstallGlobal(nullptr);
+  sink.value().reset();
+  const obs::TraceNodeSnapshot tree = obs::Tracer::Global().Snapshot();
+  obs::Tracer::Global().Reset();
+
+  const Result<obs::EventLog> log = obs::LoadEventLog(path.string());
+  ASSERT_TRUE(log.ok()) << log.status();
+  std::map<std::string, std::string> path_of_span;
+  for (const obs::SpanRecord& span : log.value().spans) {
+    path_of_span[span.span] = span.path;
+  }
+  std::vector<std::string> spans;
+  for (const obs::SpanRecord& span : log.value().spans) {
+    const auto parent = path_of_span.find(span.parent);
+    spans.push_back(span.path + " count=" + std::to_string(span.count) +
+                    " parent=" +
+                    (span.parent == "0000000000000000" ? std::string("-")
+                     : parent == path_of_span.end()    ? "orphan"
+                                                       : parent->second));
+  }
+  std::sort(spans.begin(), spans.end());
+  const std::string racer = "job/racer@relapse";
+  const std::string first = racer + "/attempt@1";
+  const std::string second = racer + "/attempt@2";
+  const std::string fallback = second + "/svc.job/fallback@bs";
+  const std::vector<std::string> expected_spans = {
+      "job count=1 parent=-",
+      racer + " count=1 parent=job",
+      racer + " count=1 parent=job",
+      first + " count=1 parent=" + racer,
+      first + "/svc.job count=1 parent=" + first,
+      first + "/svc.job/cache count=1 parent=" + first + "/svc.job",
+      first + "/svc.job/queue count=1 parent=" + first + "/svc.job",
+      first + "/svc.job/solve count=1 parent=" + first + "/svc.job",
+      second + " count=1 parent=" + racer,
+      second + "/svc.job count=1 parent=" + second,
+      fallback + " count=1 parent=" + second + "/svc.job",
+      fallback + "/solve count=1 parent=" + fallback,
+      fallback + "/solve/bs.solve count=1 parent=" + fallback + "/solve",
+      fallback + "/solve/bs.solve/bs.branch count=1 parent=" + fallback +
+          "/solve/bs.solve",
+      fallback + "/solve/bs.solve/bs.reduce count=1 parent=" + fallback +
+          "/solve/bs.solve",
+      second + "/svc.job/solve count=1 parent=" + second + "/svc.job",
+      racer + "/backoff@1 count=1 parent=" + racer,
+  };
+  std::vector<std::string> sorted_expected = expected_spans;
+  std::sort(sorted_expected.begin(), sorted_expected.end());
+  EXPECT_EQ(spans, sorted_expected);
+
+  std::vector<std::string> nodes;
+  for (const obs::TraceNodeSnapshot& child : tree.children) {
+    if (child.name == "svc.job") {
+      FlattenTraceNode(child, 0, &nodes);
+    }
+  }
+  const std::vector<std::string> expected_nodes = {
+      "svc.job count=2",
+      "  bs.solve count=1",
+      "    bs.reduce count=1",
+      "    bs.branch count=1",
+  };
+  EXPECT_EQ(nodes, expected_nodes);
 }
 
 // ---------------------------------------------------------------------------
