@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,6 +12,10 @@
 #include "qubo/qubo_model.h"
 
 namespace qplex {
+
+/// Modeled annealer time one Monte Carlo sweep accounts for (micros): the
+/// unit of SA's, PT's and the hybrid's anytime axis.
+inline constexpr double kMicrosPerSweep = 1.0;
 
 /// One point on an anytime cost curve: best energy seen after spending
 /// `budget_micros` of modeled annealer time.
@@ -66,6 +71,39 @@ void RecordSample(const QuboModel& model, const QuboSample& sample,
 
 /// A deterministic random initial sample.
 QuboSample RandomSample(int num_variables, Rng& rng);
+
+/// SQA's coupling of one Trotter slice to its two neighbours on the ring.
+struct TrotterCoupling {
+  /// P: each slice carries 1/P of the classical energy.
+  int slices = 1;
+  /// Ferromagnetic inter-slice coupling J_perp.
+  double j_perp = 0;
+  const QuboSample* prev = nullptr;
+  const QuboSample* next = nullptr;
+};
+
+/// The one Metropolis sweep every annealer runs: visits each variable of
+/// `sample` in order and flips it with probability min(1, exp(-beta*delta)),
+/// where delta is model.FlipDelta. With `trotter`, delta is scaled by 1/P
+/// and gains the slice coupling 2*J_perp*s_i*(s_prev + s_next) in spins
+/// s = 2x - 1. Each accepted delta is added to `*energy` when non-null.
+/// Returns the number of accepted flips.
+std::int64_t MetropolisSweep(const QuboModel& model, double beta, Rng& rng,
+                             QuboSample* sample, double* energy = nullptr,
+                             const TrotterCoupling* trotter = nullptr);
+
+/// `count` inverse temperatures rising geometrically from `first` to `last`
+/// (just `first` when count == 1).
+std::vector<double> GeometricLadder(double first, double last, int count);
+
+/// Publishes one Metropolis run's totals as `<prefix>.runs`,
+/// `<prefix>.<shots_name>`, `.sweeps`, `.moves_proposed` (sweeps x
+/// `moves_per_sweep`), `.moves_accepted` and the `<prefix>.best_energy`
+/// gauge.
+void FlushSweepCounters(const std::string& prefix, const char* shots_name,
+                        const AnnealResult& result,
+                        std::int64_t moves_per_sweep,
+                        std::int64_t moves_accepted);
 
 }  // namespace anneal_internal
 

@@ -35,14 +35,12 @@ int SteepestDescent(const QuboModel& model, QuboSample* sample) {
 }
 
 Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
-  if (options_.min_runtime_micros <= 0 || options_.sweeps_per_restart < 1) {
+  if (options_.min_runtime_micros <= 0) {
     return Status::InvalidArgument("bad hybrid solver options");
   }
   obs::TraceSpan span("anneal.hybrid");
   obs::ProgressHeartbeat heartbeat("anneal.hybrid");
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
+  const Deadline deadline = Deadline::After(options_.time_limit_seconds);
   Stopwatch watch;
   AnnealResult result;
   Rng rng(options_.seed);
@@ -50,10 +48,9 @@ Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
   std::int64_t basin_hops = 0;
 
   SimulatedAnnealerOptions sa_options;
-  sa_options.sweeps_per_shot = options_.sweeps_per_restart;
+  sa_options.sweeps_per_shot = HybridSolverOptions::kSweepsPerRestart;
   sa_options.shots = 1;
   sa_options.beta_final = 8.0;
-  sa_options.micros_per_sweep = options_.micros_per_sweep;
   sa_options.cancel = options_.cancel;
 
   while (result.modeled_micros < options_.min_runtime_micros &&
@@ -62,12 +59,10 @@ Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
       result.completed = false;
       break;
     }
-    // Inner restarts inherit whatever wall-clock budget remains, so expiry is
-    // detected at SA sweep granularity rather than between restarts.
-    if (options_.time_limit_seconds > 0) {
-      sa_options.time_limit_seconds =
-          std::max(deadline.RemainingSeconds(), 1e-9);
-    }
+    // Inner restarts inherit whatever wall-clock budget remains (infinite
+    // without a limit), so expiry is detected at SA sweep granularity rather
+    // than between restarts.
+    sa_options.time_limit_seconds = std::max(deadline.RemainingSeconds(), 1e-9);
     sa_options.seed = rng.Next();
     SimulatedAnnealer annealer(sa_options);
     QPLEX_ASSIGN_OR_RETURN(AnnealResult restart, annealer.Run(model));
@@ -83,7 +78,7 @@ Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
     polish_flips += flips;
     result.sweeps += restart.sweeps + flips;  // polish counted as sweeps
     result.modeled_micros +=
-        restart.modeled_micros + flips * options_.micros_per_sweep;
+        restart.modeled_micros + flips * kMicrosPerSweep;
     ++result.shots;
     anneal_internal::RecordSample(model, polished, result.modeled_micros,
                                   &result, &heartbeat, &options_.hooks);
@@ -107,7 +102,7 @@ Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
     polish_flips += hop_flips;
     ++basin_hops;
     result.sweeps += hop_flips;
-    result.modeled_micros += hop_flips * options_.micros_per_sweep;
+    result.modeled_micros += hop_flips * kMicrosPerSweep;
     anneal_internal::RecordSample(model, hop, result.modeled_micros, &result,
                                   &heartbeat, &options_.hooks);
   }

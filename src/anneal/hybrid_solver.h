@@ -16,12 +16,13 @@ namespace qplex {
 /// returns a (near-)optimal sample after its runtime floor (Fig. 10/11 show
 /// it as a single star at the optimum).
 struct HybridSolverOptions {
+  /// Sweeps of each SA restart. Restart sweeps and polish flips each cost
+  /// kMicrosPerSweep of modeled time, SA's accounting.
+  static constexpr int kSweepsPerRestart = 64;
+
   /// The service's runtime floor; the paper's haMKP requires >= 3 s. We model
   /// it in annealer micros so it lands on the same axis as qaMKP/SA.
   double min_runtime_micros = 3.0e6;
-  /// Modeled micros one sweep accounts for (shared with SA's accounting).
-  double micros_per_sweep = 1.0;
-  int sweeps_per_restart = 64;
   /// Optional domain refinement applied to every candidate before recording
   /// (e.g. MkpQubo::ImproveSample). Models the problem-aware classical
   /// post-processing inside hybrid annealing services.

@@ -14,20 +14,16 @@ Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
   if (options_.num_replicas < 2) {
     return Status::InvalidArgument("need at least 2 replicas");
   }
-  if (options_.beta_min <= 0 || options_.beta_max < options_.beta_min) {
-    return Status::InvalidArgument("need 0 < beta_min <= beta_max");
-  }
-  if (options_.sweeps_per_round < 1 || options_.rounds < 1) {
-    return Status::InvalidArgument("sweeps and rounds must be positive");
+  if (options_.rounds < 1) {
+    return Status::InvalidArgument("rounds must be positive");
   }
 
   obs::TraceSpan span("anneal.pt");
   obs::ProgressHeartbeat heartbeat("anneal.pt");
   const int n = model.num_variables();
   const int R = options_.num_replicas;
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
+  constexpr int kSweepsPerRound = ParallelTemperingOptions::kSweepsPerRound;
+  const Deadline deadline = Deadline::After(options_.time_limit_seconds);
   Stopwatch watch;
   AnnealResult result;
   Rng rng(options_.seed);
@@ -35,13 +31,9 @@ Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
   std::int64_t swaps_accepted = 0;
 
   // Geometric beta ladder: replica 0 hottest, R-1 coldest.
-  std::vector<double> betas(R);
-  const double ratio =
-      std::pow(options_.beta_max / options_.beta_min, 1.0 / (R - 1));
-  betas[0] = options_.beta_min;
-  for (int r = 1; r < R; ++r) {
-    betas[r] = betas[r - 1] * ratio;
-  }
+  const std::vector<double> betas = anneal_internal::GeometricLadder(
+      ParallelTemperingOptions::kBetaMin, ParallelTemperingOptions::kBetaMax,
+      R);
 
   std::vector<QuboSample> replicas;
   std::vector<double> energies;
@@ -51,23 +43,18 @@ Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
     energies.push_back(model.Evaluate(replicas.back()));
   }
 
+  // Every round that starts runs to its exchange and record, even when the
+  // deadline cuts its sweeps short, so shots counts the rounds begun.
   for (int round = 0; round < options_.rounds && result.completed; ++round) {
     // Metropolis sweeps per replica at its own temperature.
     for (int r = 0; r < R && result.completed; ++r) {
-      for (int sweep = 0; sweep < options_.sweeps_per_round; ++sweep) {
+      for (int sweep = 0; sweep < kSweepsPerRound; ++sweep) {
         if (StopRequested(deadline, options_.cancel)) {
           result.completed = false;
           break;
         }
-        for (int i = 0; i < n; ++i) {
-          const double delta = model.FlipDelta(replicas[r], i);
-          if (delta <= 0 ||
-              rng.UniformDouble() < std::exp(-betas[r] * delta)) {
-            replicas[r][i] ^= 1;
-            energies[r] += delta;
-            ++moves_accepted;
-          }
-        }
+        moves_accepted += anneal_internal::MetropolisSweep(
+            model, betas[r], rng, &replicas[r], &energies[r]);
         ++result.sweeps;
       }
     }
@@ -82,14 +69,13 @@ Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
         ++swaps_accepted;
       }
     }
-    result.modeled_micros +=
-        options_.micros_per_sweep * options_.sweeps_per_round * R;
+    ++result.shots;
+    result.modeled_micros += kMicrosPerSweep * kSweepsPerRound * R;
     // Record the coldest replica (and implicitly the global best).
     anneal_internal::RecordSample(model, replicas[R - 1],
                                   result.modeled_micros, &result, &heartbeat,
                                   &options_.hooks);
   }
-  result.shots = options_.rounds;
   result.wall_seconds = watch.ElapsedSeconds();
   if (obs::EventsEnabled()) {
     // Final replica ladder: one event with the per-replica beta/energy
@@ -105,21 +91,16 @@ Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
                    {{"trace", std::string(obs::CurrentTraceToken())},
                     {"betas", std::move(beta_array)},
                     {"energies", std::move(energy_array)},
-                    {"rounds", options_.rounds},
+                    {"rounds", result.shots},
                     {"swaps_accepted", swaps_accepted},
                     {"completed", result.completed}});
   }
+  anneal_internal::FlushSweepCounters("anneal.pt", "rounds", result, n,
+                                      moves_accepted);
   auto& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("anneal.pt.runs").Increment();
-  registry.GetCounter("anneal.pt.rounds").Add(options_.rounds);
-  registry.GetCounter("anneal.pt.sweeps").Add(result.sweeps);
-  registry.GetCounter("anneal.pt.moves_proposed")
-      .Add(result.sweeps * static_cast<std::int64_t>(n));
-  registry.GetCounter("anneal.pt.moves_accepted").Add(moves_accepted);
   registry.GetCounter("anneal.pt.swap_attempts")
-      .Add(static_cast<std::int64_t>(options_.rounds) * (R - 1));
+      .Add(static_cast<std::int64_t>(result.shots) * (R - 1));
   registry.GetCounter("anneal.pt.swaps_accepted").Add(swaps_accepted);
-  registry.GetGauge("anneal.pt.best_energy").SetMin(result.best_energy);
   return result;
 }
 

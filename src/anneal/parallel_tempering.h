@@ -14,14 +14,17 @@ namespace qplex {
 /// sampler than plain SA on rugged landscapes like the slack-encoded qaMKP
 /// objective; used as an ablation baseline.
 struct ParallelTemperingOptions {
+  /// The replicas' inverse temperatures rise geometrically from kBetaMin
+  /// (replica 0) to kBetaMax (the coldest, recorded replica).
+  static constexpr double kBetaMin = 0.05;
+  static constexpr double kBetaMax = 8.0;
+  /// Sweeps each replica makes between replica-exchange rounds; each costs
+  /// kMicrosPerSweep of modeled time.
+  static constexpr int kSweepsPerRound = 4;
+
   int num_replicas = 8;
-  double beta_min = 0.05;
-  double beta_max = 8.0;
-  /// Sweeps between replica-exchange rounds.
-  int sweeps_per_round = 4;
+  /// Replica-exchange rounds; AnnealResult::shots counts those begun.
   int rounds = 64;
-  /// Modeled micros one sweep accounts for (for the anytime trace).
-  double micros_per_sweep = 1.0;
   /// Wall-clock budget; <= 0 is unlimited. Checked every replica sweep; on
   /// expiry the incumbent is returned with `completed == false`.
   double time_limit_seconds = 0;

@@ -1,11 +1,11 @@
 #include "anneal/path_integral_annealer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "obs/events.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace qplex {
@@ -20,13 +20,8 @@ Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
   if (options_.annealing_time_micros <= 0 || options_.sweeps_per_micro <= 0) {
     return Status::InvalidArgument("annealing time must be positive");
   }
-  if (options_.beta <= 0 || options_.gamma_initial <= 0 ||
-      options_.gamma_final <= 0 ||
-      options_.gamma_final > options_.gamma_initial) {
-    return Status::InvalidArgument("bad beta/gamma schedule");
-  }
 
-  const IsingModel ising = model.ToIsing();
+  using Options = PathIntegralAnnealerOptions;
   const int n = model.num_variables();
   const int P = options_.replicas;
   // Annealing time converts to sweeps only up to the device's saturation
@@ -37,32 +32,20 @@ Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
       1, static_cast<int>(
              std::lround(effective_micros * options_.sweeps_per_micro)));
 
-  // Per-site coupling lists for O(deg) flip deltas.
-  std::vector<std::vector<std::pair<int, double>>> neighbors(n);
-  for (const auto& [key, weight] : ising.couplings) {
-    neighbors[key.first].emplace_back(key.second, weight);
-    neighbors[key.second].emplace_back(key.first, weight);
-  }
-
   obs::TraceSpan span("anneal.sqa");
   obs::ProgressHeartbeat heartbeat("anneal.sqa");
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
+  const Deadline deadline = Deadline::After(options_.time_limit_seconds);
   Stopwatch watch;
   AnnealResult result;
   Rng rng(options_.seed);
   std::int64_t flips_accepted = 0;
 
-  std::vector<std::vector<std::int8_t>> spins(
-      P, std::vector<std::int8_t>(n, 1));
+  std::vector<QuboSample> replicas(P);
 
   for (int shot = 0; shot < options_.shots && result.completed; ++shot) {
     // Fresh random configuration for every replica.
-    for (int p = 0; p < P; ++p) {
-      for (int i = 0; i < n; ++i) {
-        spins[p][i] = (rng.Next() & 1) ? 1 : -1;
-      }
+    for (QuboSample& replica : replicas) {
+      replica = anneal_internal::RandomSample(n, rng);
     }
 
     for (int sweep = 0; sweep < sweeps_per_shot; ++sweep) {
@@ -75,38 +58,20 @@ Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
           sweeps_per_shot == 1
               ? 1.0
               : static_cast<double>(sweep) / (sweeps_per_shot - 1);
-      const double gamma = options_.gamma_initial +
-                           progress * (options_.gamma_final -
-                                       options_.gamma_initial);
+      const double gamma =
+          Options::kGammaInitial +
+          progress * (Options::kGammaFinal - Options::kGammaInitial);
       // Ferromagnetic inter-replica coupling J_perp > 0 (stronger as the
       // transverse field decays, freezing the replicas together).
-      const double j_perp =
-          -0.5 / options_.beta *
-          std::log(std::tanh(options_.beta * gamma / P));
-
+      anneal_internal::TrotterCoupling trotter;
+      trotter.slices = P;
+      trotter.j_perp = -0.5 / Options::kBeta *
+                       std::log(std::tanh(Options::kBeta * gamma / P));
       for (int p = 0; p < P; ++p) {
-        const int prev = (p + P - 1) % P;
-        const int next = (p + 1) % P;
-        for (int i = 0; i < n; ++i) {
-          // Classical part of the flip delta (divided by P: each replica
-          // carries 1/P of the classical Hamiltonian).
-          double local_field = ising.fields[i];
-          for (const auto& [j, weight] : neighbors[i]) {
-            local_field += weight * spins[p][j];
-          }
-          const double delta_classical =
-              -2.0 * spins[p][i] * local_field / P;
-          // Quantum part: alignment with the neighbouring replicas.
-          const double delta_quantum =
-              2.0 * j_perp * spins[p][i] *
-              (spins[prev][i] + spins[next][i]);
-          const double delta = delta_classical + delta_quantum;
-          if (delta <= 0 ||
-              rng.UniformDouble() < std::exp(-options_.beta * delta)) {
-            spins[p][i] = static_cast<std::int8_t>(-spins[p][i]);
-            ++flips_accepted;
-          }
-        }
+        trotter.prev = &replicas[(p + P - 1) % P];
+        trotter.next = &replicas[(p + 1) % P];
+        flips_accepted += anneal_internal::MetropolisSweep(
+            model, Options::kBeta, rng, &replicas[p], nullptr, &trotter);
       }
       ++result.sweeps;
     }
@@ -114,32 +79,23 @@ Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
     // Read out the best replica of this shot.
     ++result.shots;
     result.modeled_micros += options_.annealing_time_micros;
-    QuboSample sample(n);
     double best_shot_energy = 0;
-    QuboSample best_shot_sample;
-    for (int p = 0; p < P; ++p) {
-      for (int i = 0; i < n; ++i) {
-        sample[i] = spins[p][i] > 0 ? 1 : 0;
-      }
-      const double energy = model.Evaluate(sample);
-      if (best_shot_sample.empty() || energy < best_shot_energy) {
+    const QuboSample* best_shot_sample = nullptr;
+    for (const QuboSample& replica : replicas) {
+      const double energy = model.Evaluate(replica);
+      if (best_shot_sample == nullptr || energy < best_shot_energy) {
         best_shot_energy = energy;
-        best_shot_sample = sample;
+        best_shot_sample = &replica;
       }
     }
-    anneal_internal::RecordSample(model, best_shot_sample,
+    anneal_internal::RecordSample(model, *best_shot_sample,
                                   result.modeled_micros, &result, &heartbeat,
                                   &options_.hooks);
   }
   result.wall_seconds = watch.ElapsedSeconds();
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("anneal.sqa.runs").Increment();
-  registry.GetCounter("anneal.sqa.shots").Add(result.shots);
-  registry.GetCounter("anneal.sqa.sweeps").Add(result.sweeps);
-  registry.GetCounter("anneal.sqa.moves_proposed")
-      .Add(result.sweeps * static_cast<std::int64_t>(n) * P);
-  registry.GetCounter("anneal.sqa.moves_accepted").Add(flips_accepted);
-  registry.GetGauge("anneal.sqa.best_energy").SetMin(result.best_energy);
+  anneal_internal::FlushSweepCounters("anneal.sqa", "shots", result,
+                                      static_cast<std::int64_t>(n) * P,
+                                      flips_accepted);
   return result;
 }
 

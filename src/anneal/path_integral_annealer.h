@@ -15,14 +15,15 @@ namespace qplex {
 /// shot count s, with total modeled runtime t = Delta-t * s (Section V,
 /// "Annealing time of qaMKP").
 struct PathIntegralAnnealerOptions {
-  /// Trotter replicas approximating the quantum system.
-  int replicas = 16;
   /// Inverse temperature of the path-integral ensemble.
-  double beta = 2.0;
+  static constexpr double kBeta = 2.0;
   /// Transverse-field schedule per shot: Gamma falls linearly from initial
   /// to final across the shot's sweeps (the device's annealing schedule).
-  double gamma_initial = 3.0;
-  double gamma_final = 0.05;
+  static constexpr double kGammaInitial = 3.0;
+  static constexpr double kGammaFinal = 0.05;
+
+  /// Trotter replicas approximating the quantum system.
+  int replicas = 16;
   /// Annealing time per shot in microseconds (the paper's Delta-t).
   double annealing_time_micros = 1.0;
   /// How many Monte Carlo sweeps one microsecond of annealing maps to; the

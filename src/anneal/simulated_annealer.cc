@@ -1,10 +1,7 @@
 #include "anneal/simulated_annealer.h"
 
-#include <cmath>
-
 #include "common/stopwatch.h"
 #include "obs/events.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace qplex {
@@ -13,33 +10,22 @@ Result<AnnealResult> SimulatedAnnealer::Run(const QuboModel& model) const {
   if (options_.shots < 1 || options_.sweeps_per_shot < 1) {
     return Status::InvalidArgument("shots and sweeps must be positive");
   }
-  if (options_.beta_initial <= 0 ||
-      options_.beta_final < options_.beta_initial) {
-    return Status::InvalidArgument("need 0 < beta_initial <= beta_final");
+  if (options_.beta_final < SimulatedAnnealerOptions::kBetaInitial) {
+    return Status::InvalidArgument("need beta_final >= the initial beta");
   }
   obs::TraceSpan span("anneal.sa");
   obs::ProgressHeartbeat heartbeat("anneal.sa");
   const int n = model.num_variables();
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
+  const Deadline deadline = Deadline::After(options_.time_limit_seconds);
   Stopwatch watch;
   AnnealResult result;
   Rng rng(options_.seed);
   std::int64_t moves_accepted = 0;  // flushed to the registry once at the end
 
   // Geometric beta ladder shared by every shot.
-  std::vector<double> betas(options_.sweeps_per_shot);
-  const double ratio =
-      options_.sweeps_per_shot == 1
-          ? 1.0
-          : std::pow(options_.beta_final / options_.beta_initial,
-                     1.0 / (options_.sweeps_per_shot - 1));
-  double beta = options_.beta_initial;
-  for (int s = 0; s < options_.sweeps_per_shot; ++s) {
-    betas[s] = beta;
-    beta *= ratio;
-  }
+  const std::vector<double> betas = anneal_internal::GeometricLadder(
+      SimulatedAnnealerOptions::kBetaInitial, options_.beta_final,
+      options_.sweeps_per_shot);
 
   for (int shot = 0; shot < options_.shots && result.completed; ++shot) {
     QuboSample sample = anneal_internal::RandomSample(n, rng);
@@ -48,31 +34,18 @@ Result<AnnealResult> SimulatedAnnealer::Run(const QuboModel& model) const {
         result.completed = false;
         break;
       }
-      const double b = betas[sweep];
-      for (int i = 0; i < n; ++i) {
-        const double delta = model.FlipDelta(sample, i);
-        if (delta <= 0 || rng.UniformDouble() < std::exp(-b * delta)) {
-          sample[i] ^= 1;
-          ++moves_accepted;
-        }
-      }
+      moves_accepted +=
+          anneal_internal::MetropolisSweep(model, betas[sweep], rng, &sample);
       ++result.sweeps;
     }
     ++result.shots;
-    result.modeled_micros +=
-        options_.micros_per_sweep * options_.sweeps_per_shot;
+    result.modeled_micros += kMicrosPerSweep * options_.sweeps_per_shot;
     anneal_internal::RecordSample(model, sample, result.modeled_micros,
                                   &result, &heartbeat, &options_.hooks);
   }
   result.wall_seconds = watch.ElapsedSeconds();
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("anneal.sa.runs").Increment();
-  registry.GetCounter("anneal.sa.shots").Add(result.shots);
-  registry.GetCounter("anneal.sa.sweeps").Add(result.sweeps);
-  registry.GetCounter("anneal.sa.moves_proposed")
-      .Add(result.sweeps * static_cast<std::int64_t>(n));
-  registry.GetCounter("anneal.sa.moves_accepted").Add(moves_accepted);
-  registry.GetGauge("anneal.sa.best_energy").SetMin(result.best_energy);
+  anneal_internal::FlushSweepCounters("anneal.sa", "shots", result, n,
+                                      moves_accepted);
   return result;
 }
 

@@ -13,14 +13,15 @@ namespace qplex {
 /// per shot and a shot count (Section V, comparison setup: "we fix the number
 /// of sweeps to 2 and vary s").
 struct SimulatedAnnealerOptions {
+  /// Inverse temperature of every shot's first sweep.
+  static constexpr double kBetaInitial = 0.1;
+
   int sweeps_per_shot = 2;
   int shots = 100;
-  /// Inverse-temperature schedule: beta rises geometrically from beta_initial
-  /// to beta_final across the sweeps of one shot.
-  double beta_initial = 0.1;
+  /// Inverse-temperature schedule: beta rises geometrically from
+  /// kBetaInitial to beta_final across the sweeps of one shot. Each sweep
+  /// costs kMicrosPerSweep of modeled time.
   double beta_final = 5.0;
-  /// Modeled time one sweep costs, for the anytime curves (micros).
-  double micros_per_sweep = 1.0;
   /// Wall-clock budget; <= 0 is unlimited. Checked every sweep, so a 1 ms
   /// deadline stops the run promptly; the incumbent is returned with
   /// `AnnealResult::completed == false`.

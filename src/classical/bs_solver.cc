@@ -250,9 +250,7 @@ Result<MkpSolution> BsSolver::Solve(const Graph& graph, int k) {
     }
   }
 
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
+  const Deadline deadline = Deadline::After(options_.time_limit_seconds);
   const std::vector<Vertex>* new_to_old =
       options_.use_reduction ? &reduction.new_to_old : nullptr;
   std::function<void(const MkpSolution&, const BsSolverStats&)> report;

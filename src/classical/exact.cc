@@ -35,9 +35,7 @@ Result<MkpSolution> SolveMkpByEnumeration(const Graph& graph, int k,
     return best;
   }
   obs::TraceSpan span("exact.enumerate");
-  const Deadline deadline = control.time_limit_seconds > 0
-                                ? Deadline::After(control.time_limit_seconds)
-                                : Deadline::Infinite();
+  const Deadline deadline = Deadline::After(control.time_limit_seconds);
   const auto adjacency = AdjacencyMasks(graph);
   const std::uint64_t space = std::uint64_t{1} << n;
   std::uint64_t scanned = space;
@@ -82,9 +80,7 @@ Result<std::int64_t> CountKPlexesOfSize(const Graph& graph, int k,
     *control.completed = true;
   }
   obs::TraceSpan span("exact.count");
-  const Deadline deadline = control.time_limit_seconds > 0
-                                ? Deadline::After(control.time_limit_seconds)
-                                : Deadline::Infinite();
+  const Deadline deadline = Deadline::After(control.time_limit_seconds);
   const auto adjacency = AdjacencyMasks(graph);
   const std::uint64_t space = std::uint64_t{1} << n;
   std::uint64_t scanned = space;

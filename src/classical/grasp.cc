@@ -126,9 +126,7 @@ MkpSolution RunGrasp(const Graph& graph, int k, const GraspOptions& options,
                      GraspStats& stats) {
   Engine engine(graph);
   Rng rng(options.seed);
-  const Deadline deadline = options.time_limit_seconds > 0
-                                ? Deadline::After(options.time_limit_seconds)
-                                : Deadline::Infinite();
+  const Deadline deadline = Deadline::After(options.time_limit_seconds);
   const StopFn stop = [&options, &deadline] {
     return StopRequested(deadline, options.cancel);
   };

@@ -23,9 +23,7 @@ Result<MilpSolution> MilpSolver::Solve(const MilpProblem& problem) const {
   }
 
   Stopwatch watch;
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
+  const Deadline deadline = Deadline::After(options_.time_limit_seconds);
 
   MilpSolution solution;
   double incumbent = 1e300;
@@ -93,11 +91,7 @@ Result<MilpSolution> MilpSolver::Solve(const MilpProblem& problem) const {
       }
     }
 
-    QPLEX_ASSIGN_OR_RETURN(
-        LpSolution lp_solution,
-        SolveLp(lp, options_.time_limit_seconds > 0
-                        ? deadline.RemainingSeconds()
-                        : 0));
+    QPLEX_ASSIGN_OR_RETURN(LpSolution lp_solution, SolveLp(lp, deadline));
     solution.lp_pivots += lp_solution.pivots;
     if (lp_solution.status == LpStatus::kTimeLimit) {
       solution.optimal = false;

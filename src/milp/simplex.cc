@@ -125,10 +125,7 @@ void LpProblem::AddRowGe(std::vector<std::pair<int, double>> terms,
 }
 
 Result<LpSolution> SolveLp(const LpProblem& problem,
-                           double time_limit_seconds) {
-  const Deadline deadline = time_limit_seconds > 0
-                                ? Deadline::After(time_limit_seconds)
-                                : Deadline::Infinite();
+                           const Deadline& deadline) {
   const int n = problem.num_vars;
   if (static_cast<int>(problem.objective.size()) != n) {
     return Status::InvalidArgument("objective arity mismatch");

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/stopwatch.h"
 
 namespace qplex {
 
@@ -43,10 +44,11 @@ struct LpSolution {
 
 /// Dense two-phase primal simplex with Bland's anti-cycling rule. Intended
 /// for the moderate LP sizes produced by the McCormick linearization of
-/// qaMKP QUBOs; no scaling/presolve. A non-positive `time_limit_seconds`
-/// means unlimited; on expiry the solve aborts with LpStatus::kTimeLimit.
+/// qaMKP QUBOs; no scaling/presolve. `deadline` is polled every 16 pivots;
+/// on expiry the solve aborts with LpStatus::kTimeLimit. Branch and bound
+/// passes its own deadline, so every node LP shares the search's budget.
 Result<LpSolution> SolveLp(const LpProblem& problem,
-                           double time_limit_seconds = 0);
+                           const Deadline& deadline = Deadline::Infinite());
 
 }  // namespace qplex
 

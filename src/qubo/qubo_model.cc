@@ -71,19 +71,14 @@ double QuboModel::Evaluate(const QuboSample& sample) const {
 
 double QuboModel::FlipDelta(const QuboSample& sample, int i) const {
   QPLEX_CHECK(i >= 0 && i < num_variables_) << "variable " << i;
-  // Contribution of x_i given the rest of the sample.
+  // Contribution of x_i given the rest of the sample. Multiplying by the
+  // 0/1 bit instead of branching on it keeps the annealers' hot loop free of
+  // data-dependent branches; weight * 0 adds an exact zero.
   double slope = linear_[i];
   for (const auto& [j, weight] : neighbors_[i]) {
-    if (sample[j]) {
-      slope += weight;
-    }
+    slope += weight * sample[j];
   }
   return sample[i] ? -slope : slope;
-}
-
-const std::vector<std::pair<int, double>>& QuboModel::Neighbors(int i) const {
-  QPLEX_CHECK(i >= 0 && i < num_variables_) << "variable " << i;
-  return neighbors_[i];
 }
 
 Graph QuboModel::InteractionGraph() const {
@@ -94,26 +89,6 @@ Graph QuboModel::InteractionGraph() const {
     }
   }
   return graph;
-}
-
-IsingModel QuboModel::ToIsing() const {
-  // x_i = (1 + s_i) / 2:
-  //   a x         -> a/2 + (a/2) s
-  //   b x_i x_j   -> b/4 + (b/4)(s_i + s_j) + (b/4) s_i s_j
-  IsingModel ising;
-  ising.offset = offset_;
-  ising.fields.assign(num_variables_, 0.0);
-  for (int i = 0; i < num_variables_; ++i) {
-    ising.offset += linear_[i] / 2;
-    ising.fields[i] += linear_[i] / 2;
-  }
-  for (const auto& [key, weight] : quadratic_) {
-    ising.offset += weight / 4;
-    ising.fields[key.first] += weight / 4;
-    ising.fields[key.second] += weight / 4;
-    ising.couplings.push_back({key, weight / 4});
-  }
-  return ising;
 }
 
 std::string QuboModel::ToString() const {

@@ -15,14 +15,6 @@ namespace qplex {
 /// An assignment of the binary variables (one byte per variable, 0 or 1).
 using QuboSample = std::vector<std::uint8_t>;
 
-/// Ising form of a QUBO: E(s) = offset + sum h_i s_i + sum J_ij s_i s_j with
-/// spins s in {-1, +1}. Used by the path-integral (quantum) annealer.
-struct IsingModel {
-  double offset = 0;
-  std::vector<double> fields;                            // h_i
-  std::vector<std::pair<std::pair<int, int>, double>> couplings;  // J_ij, i<j
-};
-
 /// A quadratic unconstrained binary optimization problem
 ///   E(x) = offset + sum_i a_i x_i + sum_{i<j} b_ij x_i x_j,  x_i in {0,1},
 /// to be minimized. Quadratic terms are stored symmetrically folded onto
@@ -58,15 +50,9 @@ class QuboModel {
   /// Energy change caused by flipping variable `i` in `sample`. O(deg(i)).
   double FlipDelta(const QuboSample& sample, int i) const;
 
-  /// Variables adjacent to i through quadratic terms, with their weights.
-  const std::vector<std::pair<int, double>>& Neighbors(int i) const;
-
   /// The interaction graph: vertices = variables, edges = quadratic terms.
   /// This is what gets minor-embedded onto annealer hardware.
   Graph InteractionGraph() const;
-
-  /// Converts to the equivalent Ising model via x = (1 + s) / 2.
-  IsingModel ToIsing() const;
 
   /// One-line summary for logs.
   std::string ToString() const;

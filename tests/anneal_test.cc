@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "anneal/hybrid_solver.h"
 #include "anneal/parallel_tempering.h"
@@ -9,6 +12,7 @@
 #include "classical/exact.h"
 #include "graph/generators.h"
 #include "graph/instances.h"
+#include "obs/metrics.h"
 #include "qubo/mkp_qubo.h"
 
 namespace qplex {
@@ -44,7 +48,7 @@ TEST(SimulatedAnnealerTest, OptionValidation) {
   options.shots = 0;
   EXPECT_FALSE(SimulatedAnnealer(options).Run(ToyModel()).ok());
   options.shots = 1;
-  options.beta_initial = -1;
+  options.beta_final = 0.01;  // below the initial beta
   EXPECT_FALSE(SimulatedAnnealer(options).Run(ToyModel()).ok());
 }
 
@@ -103,9 +107,6 @@ TEST(PathIntegralTest, OptionValidation) {
   EXPECT_FALSE(PathIntegralAnnealer(options).Run(ToyModel()).ok());
   options.replicas = 8;
   options.annealing_time_micros = 0;
-  EXPECT_FALSE(PathIntegralAnnealer(options).Run(ToyModel()).ok());
-  options.annealing_time_micros = 1;
-  options.gamma_final = 10.0;  // > gamma_initial
   EXPECT_FALSE(PathIntegralAnnealer(options).Run(ToyModel()).ok());
 }
 
@@ -222,9 +223,6 @@ TEST(ParallelTemperingTest, Validation) {
   options.num_replicas = 1;
   EXPECT_FALSE(ParallelTempering(options).Run(ToyModel()).ok());
   options.num_replicas = 4;
-  options.beta_min = -1;
-  EXPECT_FALSE(ParallelTempering(options).Run(ToyModel()).ok());
-  options.beta_min = 0.1;
   options.rounds = 0;
   EXPECT_FALSE(ParallelTempering(options).Run(ToyModel()).ok());
 }
@@ -286,9 +284,120 @@ TEST(ParallelTemperingTest, CancellationStopsRoundsEarly) {
   const AnnealResult result =
       ParallelTempering(options).Run(ToyModel()).value();
   EXPECT_FALSE(result.completed);
-  EXPECT_LT(result.sweeps,
-            static_cast<std::int64_t>(options.rounds) *
-                options.sweeps_per_round * options.num_replicas);
+  EXPECT_LT(result.shots, options.rounds);
+  EXPECT_LT(result.sweeps, static_cast<std::int64_t>(options.rounds) *
+                               ParallelTemperingOptions::kSweepsPerRound *
+                               options.num_replicas);
+}
+
+// -- output contract ----------------------------------------------------------
+
+/// One annealer run's observable outputs on a fixed QUBO and seed. The sweep
+/// kernel, ladders and RNG plumbing behind them may change; these may not.
+struct PinnedRun {
+  double best_energy;
+  std::string best_sample;  // one '0'/'1' per variable
+  std::int64_t sweeps;
+  int shots;
+  std::vector<std::pair<double, double>> trace;  // (budget_micros, energy)
+  std::int64_t moves_accepted;  // delta of anneal.<kernel>.moves_accepted
+};
+
+std::string Bits(const QuboSample& sample) {
+  std::string bits;
+  for (std::uint8_t x : sample) {
+    bits.push_back(x ? '1' : '0');
+  }
+  return bits;
+}
+
+/// Runs `solve` and returns its result plus the growth of `counter`.
+template <typename Solve>
+std::pair<AnnealResult, std::int64_t> RunCounting(const char* counter,
+                                                  Solve solve) {
+  obs::Counter& accepted = obs::MetricsRegistry::Global().GetCounter(counter);
+  const std::int64_t before = accepted.Get();
+  AnnealResult result = solve().value();
+  return {std::move(result), accepted.Get() - before};
+}
+
+void ExpectPinned(const std::pair<AnnealResult, std::int64_t>& run,
+                  const PinnedRun& pinned) {
+  const AnnealResult& result = run.first;
+  EXPECT_EQ(result.best_energy, pinned.best_energy);
+  EXPECT_EQ(Bits(result.best_sample), pinned.best_sample);
+  EXPECT_EQ(result.sweeps, pinned.sweeps);
+  EXPECT_EQ(result.shots, pinned.shots);
+  std::vector<std::pair<double, double>> trace;
+  for (const CostTracePoint& point : result.trace) {
+    trace.emplace_back(point.budget_micros, point.energy);
+  }
+  EXPECT_EQ(trace, pinned.trace);
+  EXPECT_EQ(run.second, pinned.moves_accepted);
+}
+
+TEST(AnnealContractTest, OutputsPinnedOnR2MkpQubo) {
+  const MkpQubo qubo = BuildMkpQubo(RandomGnm(10, 24, 6).value(), 3).value();
+  ASSERT_EQ(qubo.penalty, 2.0);
+
+  SimulatedAnnealerOptions sa;
+  sa.shots = 6;
+  sa.sweeps_per_shot = 3;
+  sa.seed = 11;
+  ExpectPinned(
+      RunCounting("anneal.sa.moves_accepted",
+                  [&] { return SimulatedAnnealer(sa).Run(qubo.model); }),
+      {-5,
+       "01011001100100001000010100100110010",
+       18,
+       6,
+       {{3, 2}, {6, -5}, {9, -5}, {12, -5}, {15, -5}, {18, -5}},
+       213});
+
+  ParallelTemperingOptions pt;
+  pt.num_replicas = 4;
+  pt.rounds = 5;
+  pt.seed = 12;
+  ExpectPinned(
+      RunCounting("anneal.pt.moves_accepted",
+                  [&] { return ParallelTempering(pt).Run(qubo.model); }),
+      {-3,
+       "00001101001101011110101011010111001",
+       80,
+       5,
+       {{16, -3}, {32, -3}, {48, -3}, {64, -3}, {80, -3}},
+       774});
+
+  PathIntegralAnnealerOptions pia;
+  pia.replicas = 4;
+  pia.shots = 4;
+  pia.seed = 13;
+  ExpectPinned(
+      RunCounting("anneal.sqa.moves_accepted",
+                  [&] { return PathIntegralAnnealer(pia).Run(qubo.model); }),
+      {-1,
+       "00001011110100100100110110001010000",
+       32,
+       4,
+       {{1, 1}, {2, 1}, {3, -1}, {4, -1}},
+       968});
+
+  // The hybrid's restarts are SA runs, so its accepted moves land on SA's
+  // counter.
+  HybridSolverOptions hybrid;
+  hybrid.min_runtime_micros = 1000;
+  hybrid.max_restarts = 3;
+  hybrid.seed = 14;
+  hybrid.refine = [&qubo](QuboSample* sample) { qubo.ImproveSample(sample); };
+  ExpectPinned(
+      RunCounting("anneal.sa.moves_accepted",
+                  [&] { return HybridSolver(hybrid).Run(qubo.model); }),
+      {-6,
+       "11101001100000001011010100100100010",
+       197,
+       3,
+       {{64, -6}, {66, -6}, {130, -6}, {132, -6}, {196, -6}, {1000, -6}},
+       1240});
 }
 
 }  // namespace

@@ -178,10 +178,13 @@ TEST(StopwatchTest, UnitsAreConsistent) {
 }
 
 TEST(DeadlineTest, InfiniteNeverExpires) {
-  Deadline deadline = Deadline::Infinite();
-  EXPECT_FALSE(deadline.Expired());
-  EXPECT_EQ(deadline.RemainingSeconds(),
-            std::numeric_limits<double>::infinity());
+  // A non-positive budget means "no deadline", same as Infinite().
+  for (const Deadline& deadline :
+       {Deadline::Infinite(), Deadline::After(0), Deadline::After(-1)}) {
+    EXPECT_FALSE(deadline.Expired());
+    EXPECT_EQ(deadline.RemainingSeconds(),
+              std::numeric_limits<double>::infinity());
+  }
 }
 
 TEST(DeadlineTest, TinyBudgetExpires) {

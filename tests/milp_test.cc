@@ -75,6 +75,23 @@ TEST(SimplexTest, DegenerateProblemTerminates) {
   EXPECT_NEAR(solution.objective, -0.05, 1e-6);
 }
 
+TEST(SimplexTest, ExpiredDeadlineStopsTheSolve) {
+  // minimize -sum x_i over the unit box: every variable enters the basis,
+  // so the unbounded solve takes one pivot per variable.
+  LpProblem problem;
+  problem.num_vars = 24;
+  problem.objective.assign(24, -1.0);
+  problem.upper.assign(24, 1.0);
+  const LpSolution full = SolveLp(problem).value();
+  ASSERT_EQ(full.status, LpStatus::kOptimal);
+  ASSERT_GT(full.pivots, 16);
+
+  const Deadline expired = Deadline::After(1e-9);
+  while (!expired.Expired()) {
+  }
+  EXPECT_EQ(SolveLp(problem, expired).value().status, LpStatus::kTimeLimit);
+}
+
 TEST(SimplexTest, RejectsAritymismatch) {
   LpProblem problem;
   problem.num_vars = 2;

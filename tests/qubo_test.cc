@@ -75,41 +75,6 @@ TEST(QuboModelTest, InteractionGraph) {
   EXPECT_FALSE(graph.HasEdge(0, 2));
 }
 
-TEST(QuboModelTest, IsingRoundTripEnergy) {
-  // The Ising transform must preserve energies for every assignment.
-  Rng rng(9);
-  QuboModel model(6);
-  for (int i = 0; i < 6; ++i) {
-    model.AddLinear(i, rng.UniformDouble() * 2 - 1);
-  }
-  model.AddOffset(0.7);
-  for (int i = 0; i < 6; ++i) {
-    for (int j = i + 1; j < 6; ++j) {
-      if (rng.Bernoulli(0.6)) {
-        model.AddQuadratic(i, j, rng.UniformDouble() * 2 - 1);
-      }
-    }
-  }
-  const IsingModel ising = model.ToIsing();
-  for (std::uint64_t assignment = 0; assignment < 64; ++assignment) {
-    QuboSample sample(6);
-    std::vector<int> spins(6);
-    for (int i = 0; i < 6; ++i) {
-      sample[i] = (assignment >> i) & 1;
-      spins[i] = sample[i] ? 1 : -1;
-    }
-    double ising_energy = ising.offset;
-    for (int i = 0; i < 6; ++i) {
-      ising_energy += ising.fields[i] * spins[i];
-    }
-    for (const auto& [key, weight] : ising.couplings) {
-      ising_energy += weight * spins[key.first] * spins[key.second];
-    }
-    EXPECT_NEAR(ising_energy, model.Evaluate(sample), 1e-9)
-        << "assignment " << assignment;
-  }
-}
-
 // -- MkpQubo ------------------------------------------------------------------
 
 TEST(MkpQuboTest, BuildValidation) {
