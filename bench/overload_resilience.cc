@@ -106,7 +106,6 @@ int main() {
     options.num_workers = 1;
     options.enable_cache = false;
     options.retry.max_retries = 0;
-    options.enable_breakers = true;
     options.breaker.failure_threshold = 2;
     options.breaker.cooldown_consults = 4;
     svc::JobScheduler scheduler(&registry, options);
@@ -162,8 +161,6 @@ int main() {
   resilience::OverloadOptions overload_options;
   overload_options.target_delay_ms = 10;
   overload_options.ewma_alpha = 0.3;
-  overload_options.shed_factor = 2.0;
-  overload_options.min_backlog = 2;
   resilience::OverloadController overload(overload_options);
   std::int64_t admitted = 0;
   for (int i = 0; i < 200; ++i) {

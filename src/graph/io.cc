@@ -154,14 +154,20 @@ std::string WriteDimacs(const Graph& graph) {
   return out.str();
 }
 
-Result<Graph> LoadEdgeListFile(const std::string& path) {
-  QPLEX_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  return ParseEdgeList(text);
+Result<GraphParser> GraphFormatParser(std::string_view format) {
+  if (format == "dimacs") {
+    return &ParseDimacs;
+  }
+  if (format == "edgelist") {
+    return &ParseEdgeList;
+  }
+  return Status::InvalidArgument("unknown format '" + std::string(format) +
+                                 "'");
 }
 
-Result<Graph> LoadDimacsFile(const std::string& path) {
+Result<Graph> LoadGraphFile(const std::string& path, GraphParser parse) {
   QPLEX_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  return ParseDimacs(text);
+  return parse(text);
 }
 
 }  // namespace qplex

@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "graph/graph.h"
@@ -27,9 +28,15 @@ Result<Graph> ParseDimacs(const std::string& text);
 /// Serializes in DIMACS `p edge` format (1-based endpoints).
 std::string WriteDimacs(const Graph& graph);
 
-/// Reads a whole file; convenience over the string parsers.
-Result<Graph> LoadEdgeListFile(const std::string& path);
-Result<Graph> LoadDimacsFile(const std::string& path);
+/// A text parser for one graph file format.
+using GraphParser = Result<Graph> (*)(const std::string& text);
+
+/// The parser for a format name: "dimacs" or "edgelist". Any other name is
+/// an InvalidArgument, so a mistyped format never picks a parser silently.
+Result<GraphParser> GraphFormatParser(std::string_view format);
+
+/// Reads a whole file and parses it with `parse`.
+Result<Graph> LoadGraphFile(const std::string& path, GraphParser parse);
 
 }  // namespace qplex
 

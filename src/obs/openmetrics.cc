@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 
@@ -107,6 +108,26 @@ std::string RenderOpenMetrics(const MetricsSnapshot& snapshot) {
   }
   out += "# EOF\n";
   return out;
+}
+
+Status WriteOpenMetricsSnapshot(const std::string& path) {
+  const std::string text =
+      RenderOpenMetrics(MetricsRegistry::Global().Snapshot());
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) {
+      return Status::InvalidArgument("cannot open metrics file: " + tmp);
+    }
+    out << text;
+    if (!out) {
+      return Status::Internal("failed writing metrics file: " + tmp);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::Internal("failed to move metrics file into place: " + path);
+  }
+  return Status::Ok();
 }
 
 const std::string* OpenMetricsSample::FindLabel(std::string_view key) const {

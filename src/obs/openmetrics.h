@@ -31,6 +31,11 @@ std::string OpenMetricsName(std::string_view name);
 /// write -> parse round trip is exact.
 std::string RenderOpenMetrics(const MetricsSnapshot& snapshot);
 
+/// Writes RenderOpenMetrics of the global registry's snapshot to `path`
+/// atomically (tmp file + rename), so a scraper tailing the path never sees a
+/// torn exposition.
+Status WriteOpenMetricsSnapshot(const std::string& path);
+
 /// One parsed sample line: metric name (with suffix), optional label pairs in
 /// source order, and the value.
 struct OpenMetricsSample {

@@ -156,9 +156,9 @@ void CircuitBreaker::RecordFailure() {
   if (state_ == BreakerState::kHalfOpen) {
     probe_in_flight_ = false;
     current_cooldown_ = std::min(
-        options_.cooldown_max_consults,
+        kBreakerCooldownMaxConsults,
         std::max(1, static_cast<int>(static_cast<double>(current_cooldown_) *
-                                     options_.cooldown_multiplier)));
+                                     kBreakerCooldownMultiplier)));
     TransitionLocked(BreakerState::kOpen);
     return;
   }

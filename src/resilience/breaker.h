@@ -28,8 +28,9 @@ std::string_view BreakerStateName(BreakerState state);
 
 struct BreakerOptions {
   /// Consecutive counted failures that trip a closed breaker open.
-  /// <= 0 disables the breaker entirely (Consult always proceeds).
-  int failure_threshold = 3;
+  /// <= 0 (the default) disables the breaker entirely (Consult always
+  /// proceeds).
+  int failure_threshold = 0;
 
   /// Deterministic backoff, measured in Consult() calls rather than wall
   /// time: after opening, the breaker short-circuits the next N-1
@@ -38,12 +39,13 @@ struct BreakerOptions {
   /// the transition sequence is a pure function of the request stream, not
   /// of scheduling latency.
   int cooldown_consults = 8;
-
-  /// Each half_open -> open reopen scales the next cooldown by this factor,
-  /// capped at cooldown_max_consults; a successful close resets it.
-  double cooldown_multiplier = 2.0;
-  int cooldown_max_consults = 64;
 };
+
+/// Each half_open -> open reopen scales the next cooldown by
+/// kBreakerCooldownMultiplier, capped at kBreakerCooldownMaxConsults; a
+/// successful close resets it.
+inline constexpr double kBreakerCooldownMultiplier = 2.0;
+inline constexpr int kBreakerCooldownMaxConsults = 64;
 
 /// Point-in-time view of one breaker, for health responses and tests.
 struct BreakerSnapshot {

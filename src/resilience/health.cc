@@ -31,10 +31,10 @@ OverloadController::Decision OverloadController::Admit(
     decision.admit = false;
     decision.reason = "backlog_full";
   } else if (options_.target_delay_ms > 0 && has_sample_ &&
-             backlog_depth >= options_.min_backlog) {
+             backlog_depth >= kShedMinBacklog) {
     const double threshold =
         open_breakers > 0 ? options_.target_delay_ms
-                          : options_.target_delay_ms * options_.shed_factor;
+                          : options_.target_delay_ms * kShedFactor;
     if (ewma_ms_ > threshold) {
       decision.admit = false;
       decision.reason = "queue_delay";
@@ -42,8 +42,7 @@ OverloadController::Decision OverloadController::Admit(
   }
   if (!decision.admit) {
     decision.retry_after_ms =
-        std::clamp(2 * ewma_ms_, options_.min_retry_after_ms,
-                   options_.max_retry_after_ms);
+        std::clamp(2 * ewma_ms_, kMinRetryAfterMs, kMaxRetryAfterMs);
     ++shed_;
     auto& registry = obs::MetricsRegistry::Global();
     registry.GetCounter("svc.admission.shed").Increment();
@@ -68,8 +67,7 @@ std::int64_t OverloadController::shed() const {
 
 double OverloadController::RetryAfterMsHint() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return std::clamp(2 * ewma_ms_, options_.min_retry_after_ms,
-                    options_.max_retry_after_ms);
+  return std::clamp(2 * ewma_ms_, kMinRetryAfterMs, kMaxRetryAfterMs);
 }
 
 }  // namespace qplex::resilience

@@ -27,20 +27,20 @@ struct OverloadOptions {
 
   /// EWMA smoothing factor in (0, 1]; higher reacts faster.
   double ewma_alpha = 0.2;
-
-  /// Adaptive shedding triggers when the delay EWMA exceeds
-  /// target_delay_ms * shed_factor (or target_delay_ms alone while any
-  /// breaker is open — degraded capacity warrants shedding sooner).
-  double shed_factor = 2.0;
-
-  /// Adaptive shedding never fires while fewer than this many requests are
-  /// queued, so a briefly-slow system still makes progress.
-  std::size_t min_backlog = 2;
-
-  /// Clamp range for the retry_after_ms hint attached to shed responses.
-  double min_retry_after_ms = 10;
-  double max_retry_after_ms = 2000;
 };
+
+/// Adaptive shedding triggers when the delay EWMA exceeds
+/// target_delay_ms * kShedFactor (or target_delay_ms alone while any breaker
+/// is open — degraded capacity warrants shedding sooner).
+inline constexpr double kShedFactor = 2.0;
+
+/// Adaptive shedding never fires while fewer than this many requests are
+/// queued, so a briefly-slow system still makes progress.
+inline constexpr std::size_t kShedMinBacklog = 2;
+
+/// Clamp range for the retry_after_ms hint attached to shed responses.
+inline constexpr double kMinRetryAfterMs = 10;
+inline constexpr double kMaxRetryAfterMs = 2000;
 
 class OverloadController {
  public:
@@ -69,8 +69,8 @@ class OverloadController {
   std::int64_t shed() const;
 
   /// The hint attached to shed responses: how long a client should wait
-  /// before retrying, derived from the smoothed delay and clamped to the
-  /// configured range.
+  /// before retrying, derived from the smoothed delay and clamped to
+  /// [kMinRetryAfterMs, kMaxRetryAfterMs].
   double RetryAfterMsHint() const;
 
  private:

@@ -90,14 +90,12 @@ Result<Graph> LoadRequestGraph(const obs::JsonValue& line, int line_number,
   if (const obs::JsonValue* f = line.Find("format"); f != nullptr) {
     QPLEX_ASSIGN_OR_RETURN(format, StringField(*f, "format", line_number));
   }
-  if (format == "dimacs") {
-    return LoadDimacsFile(input->AsString());
+  const Result<GraphParser> parse = GraphFormatParser(format);
+  if (!parse.ok()) {
+    return Status::InvalidArgument(parse.status().message() + " at line " +
+                                   std::to_string(line_number));
   }
-  if (format == "edgelist") {
-    return LoadEdgeListFile(input->AsString());
-  }
-  return Status::InvalidArgument("unknown format '" + format + "' at line " +
-                                 std::to_string(line_number));
+  return LoadGraphFile(input->AsString(), parse.value());
 }
 
 }  // namespace

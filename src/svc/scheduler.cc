@@ -19,6 +19,13 @@
 namespace qplex::svc {
 namespace {
 
+/// Root seed of every job's retry backoff sequence.
+constexpr std::uint64_t kRetryBackoffSeed = 0x7e57ab1e;
+
+/// Entries the result cache holds when JobSchedulerOptions::enable_cache is
+/// set.
+constexpr std::size_t kResultCacheCapacity = 256;
+
 /// Joins backend names for event payloads ("bs+enum+sa").
 std::string JoinBackends(const std::vector<std::string>& backends) {
   std::string joined;
@@ -53,9 +60,9 @@ JobScheduler::JobScheduler(const SolverRegistry* registry,
   options_.num_workers = std::max(1, options_.num_workers);
   options_.queue_capacity = std::max<std::size_t>(1, options_.queue_capacity);
   if (options_.enable_cache) {
-    cache_ = std::make_unique<InstanceCache>(options_.cache_capacity);
+    cache_ = std::make_unique<InstanceCache>(kResultCacheCapacity);
   }
-  if (options_.enable_breakers && options_.breaker.failure_threshold > 0) {
+  if (options_.breaker.failure_threshold > 0) {
     breakers_ = std::make_unique<resilience::BreakerBoard>(options_.breaker);
   }
   if (options_.watchdog_stall_ms > 0) {
@@ -410,7 +417,7 @@ void JobScheduler::Execute(const SubTask& task, int worker) {
 
     if (resilience::ClassifyFailure(response.status.code()) ==
             resilience::FailureClass::kTransient &&
-        ConsumeRetryBudget(response.status, job)) {
+        ConsumeRetryBudget(job)) {
       ScheduleRetry(task, worker, response.status);
       return;  // the slot completes on a later attempt
     }
@@ -751,7 +758,7 @@ SolveResponse JobScheduler::RunFallbackChain(Job& job,
   return response;
 }
 
-bool JobScheduler::ConsumeRetryBudget(const Status& status, Job& job) {
+bool JobScheduler::ConsumeRetryBudget(Job& job) {
   auto& registry = obs::MetricsRegistry::Global();
   if (StopRequested(job.deadline, &job.cancel)) {
     return false;  // no budget left to retry into
@@ -760,7 +767,6 @@ bool JobScheduler::ConsumeRetryBudget(const Status& status, Job& job) {
     registry.GetCounter("svc.retries.exhausted").Increment();
     return false;
   }
-  (void)status;
   return true;
 }
 
@@ -777,7 +783,7 @@ void JobScheduler::ScheduleRetry(const SubTask& task, int worker,
   resilience::BackoffOptions backoff_options;
   backoff_options.base_ms = options_.retry.backoff_base_ms;
   backoff_options.cap_ms = options_.retry.backoff_cap_ms;
-  backoff_options.seed = options_.retry.backoff_seed ^
+  backoff_options.seed = kRetryBackoffSeed ^
                          (static_cast<std::uint64_t>(job.id) *
                           0x9e3779b97f4a7c15ULL) ^
                          static_cast<std::uint64_t>(task.slot);

@@ -34,11 +34,10 @@ struct RetryOptions {
   /// racers. 0 disables retries.
   int max_retries = 2;
   /// Decorrelated-jitter backoff between attempts. The delay sequence is a
-  /// pure function of (backoff_seed, job id, slot, attempt), so retry
+  /// pure function of (a fixed root seed, job id, slot, attempt), so retry
   /// schedules are deterministic and safe to assert on.
   double backoff_base_ms = 1.0;
   double backoff_cap_ms = 100.0;
-  std::uint64_t backoff_seed = 0x7e57ab1e;
 };
 
 /// Scheduler configuration.
@@ -53,24 +52,22 @@ struct JobSchedulerOptions {
   /// kResourceExhausted — backpressure, not unbounded buffering. Retry
   /// re-enqueues bypass the bound: an admitted job may always finish.
   std::size_t queue_capacity = 64;
-  /// Result cache toggle and size.
+  /// Result cache toggle.
   bool enable_cache = true;
-  std::size_t cache_capacity = 256;
   RetryOptions retry;
   /// Latency objective per job in milliseconds; 0 disables SLO accounting.
   /// When set, every completed job ticks svc.slo.ok or svc.slo.breaches
   /// (admission-to-merge latency vs the objective) and the objective itself
   /// is published as the svc.slo.objective_ms gauge.
   double slo_latency_ms = 0;
-  /// Per-backend circuit breakers (DESIGN.md section 15). Off by default so
-  /// library users and historical baselines keep exact semantics; the serve
-  /// front-ends enable them with --breaker-threshold. When enabled, every
-  /// backend execution consults its breaker first: an open breaker
-  /// short-circuits the execution with kResourceExhausted, which the
-  /// degradable-failure path turns into a fallback-chain walk — so a serially
-  /// failing backend is skipped across requests, not rediscovered by each
-  /// one.
-  bool enable_breakers = false;
+  /// Per-backend circuit breakers (DESIGN.md section 15), armed when
+  /// breaker.failure_threshold > 0. Off by default so library users and
+  /// historical baselines keep exact semantics; the serve front-ends arm
+  /// them with --breaker-threshold. When armed, every backend execution
+  /// consults its breaker first: an open breaker short-circuits the
+  /// execution with kResourceExhausted, which the degradable-failure path
+  /// turns into a fallback-chain walk — so a serially failing backend is
+  /// skipped across requests, not rediscovered by each one.
   resilience::BreakerOptions breaker;
   /// Wedged-job watchdog stall budget in milliseconds; 0 disables. Progress
   /// is measured on a work axis — CancelToken heartbeat polls from the
@@ -112,7 +109,7 @@ using JobId = std::int64_t;
 /// kResourceExhausted walks the registry fallback chain (qtkp→bs, qmkp→bs,
 /// milp→grasp) and surfaces the degradation trail in the response.
 ///
-/// Health (DESIGN.md section 15): with enable_breakers, per-backend circuit
+/// Health (DESIGN.md section 15): with a breaker threshold, per-backend circuit
 /// breakers remember failures across jobs and short-circuit a serially
 /// failing backend straight onto its fallback chain; with a watchdog stall
 /// budget, a wedged execution (no CancelToken heartbeat) is cancelled
@@ -261,9 +258,10 @@ class JobScheduler {
   /// kResourceExhausted; fills the degradation trail in `response`.
   SolveResponse RunFallbackChain(Job& job, const std::string& backend,
                                  SolveResponse response, Status original);
-  /// True when `status` is transient, budget remains, and the job deadline
-  /// has not expired; consumes one unit of the job's retry budget.
-  bool ConsumeRetryBudget(const Status& status, Job& job);
+  /// True when budget remains and the job deadline has not expired;
+  /// consumes one unit of the job's retry budget. The caller has already
+  /// classified the failure as transient.
+  bool ConsumeRetryBudget(Job& job);
   /// Records metrics/events, sleeps the deterministic backoff delay, and
   /// re-enqueues the task for a different worker.
   void ScheduleRetry(const SubTask& task, int worker, const Status& failure);

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/json.h"
 
@@ -28,7 +32,13 @@ std::filesystem::path TempDir() {
 
 std::filesystem::path WriteExampleGraph() {
   // Two K4 blocks joined by one edge; the maximum 2-plex is a K4 (size 4).
-  const std::filesystem::path path = TempDir() / "graph.el";
+  // One file per test, so tests running in parallel never read a graph
+  // another test is rewriting.
+  const testing::TestInfo* test =
+      testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(test->test_suite_name()) + "." + test->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  const std::filesystem::path path = TempDir() / (name + ".el");
   std::ofstream out(path);
   out << "8\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 5\n4 6\n5 6\n5 7\n6 7\n";
   return path;
@@ -144,6 +154,162 @@ TEST(CliSmokeTest, ThreadsFlagReachesSimulatorAndReport) {
   EXPECT_GE(counters->Find("simulator.diffusion_applies")->AsInt(), 1);
   ASSERT_NE(counters->Find("simulator.phase_oracle_applies"), nullptr);
   EXPECT_GE(counters->Find("simulator.phase_oracle_applies")->AsInt(), 1);
+}
+
+/// One paper algorithm's pinned CLI output on the two-K4 graph (k=2,
+/// seed 3): the stdout members line, every run-report counter, and the trace
+/// tree's span names and counts (one "name count" line per span, indented
+/// two spaces per level). Timings are never pinned.
+struct PinnedRun {
+  const char* algorithm;
+  const char* members;
+  std::vector<std::pair<std::string, std::int64_t>> counters;
+  const char* trace;
+};
+
+void PrintTo(const PinnedRun& run, std::ostream* out) { *out << run.algorithm; }
+
+std::string TraceShape(const obs::JsonValue& span, int depth = 0) {
+  std::string shape = std::string(2 * depth, ' ') +
+                      span.Find("name")->AsString() + " " +
+                      std::to_string(span.Find("count")->AsInt()) + "\n";
+  if (const obs::JsonValue* children = span.Find("children");
+      children != nullptr) {
+    for (std::size_t i = 0; i < children->size(); ++i) {
+      shape += TraceShape(children->at(i), depth + 1);
+    }
+  }
+  return shape;
+}
+
+class CliPinnedRunTest : public testing::TestWithParam<PinnedRun> {};
+
+TEST_P(CliPinnedRunTest, StdoutCountersAndTraceShapeArePinned) {
+  const PinnedRun& pinned = GetParam();
+  const std::filesystem::path graph = WriteExampleGraph();
+  const std::string stem = std::string("pinned_") + pinned.algorithm;
+  const std::filesystem::path out = TempDir() / (stem + ".out");
+  const std::filesystem::path report = TempDir() / (stem + ".json");
+  ASSERT_EQ(RunCli("--input " + graph.string() +
+                       " --format edgelist --k 2 --seed 3 --algorithm " +
+                       pinned.algorithm + " --metrics-json " +
+                       report.string(),
+                   out.string()),
+            0);
+  EXPECT_EQ(ReadFile(out),
+            std::string("size 4\nmembers ") + pinned.members + "\n");
+
+  const Result<obs::JsonValue> parsed = obs::JsonValue::Parse(ReadFile(report));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  std::vector<std::pair<std::string, std::int64_t>> counters;
+  for (const auto& [name, value] : parsed.value().Find("counters")->members()) {
+    counters.emplace_back(name, value.AsInt());
+  }
+  EXPECT_EQ(counters, pinned.counters);
+  EXPECT_EQ(TraceShape(*parsed.value().Find("trace")), pinned.trace);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CliSmokeTest, CliPinnedRunTest,
+    testing::Values(
+        PinnedRun{"bs",
+                  "0 1 2 3",
+                  {{"bs.branch_nodes", 1},
+                   {"bs.prunes_bound", 1},
+                   {"bs.prunes_infeasible", 0},
+                   {"bs.reduction_removed_vertices", 4},
+                   {"bs.solves", 1}},
+                  "root 0\n  bs.solve 1\n    bs.reduce 1\n    bs.branch 1\n"},
+        PinnedRun{"enum",
+                  "0 1 2 3",
+                  {{"exact.enumerations", 1}, {"exact.masks_scanned", 256}},
+                  "root 0\n  exact.enumerate 1\n"},
+        PinnedRun{"qmkp",
+                  "4 5 6 7",
+                  {{"grover.iterations", 8},
+                   {"grover.runs", 7},
+                   {"grover.simulations", 3},
+                   {"oracle.builds", 3},
+                   {"oracle.stage_cost.degree_compare", 1086},
+                   {"oracle.stage_cost.degree_count", 3348},
+                   {"oracle.stage_cost.encoding", 144},
+                   {"oracle.stage_cost.oracle_flip", 9},
+                   {"oracle.stage_cost.size_check", 524},
+                   {"oracle.stage_cost.uncompute", 5102},
+                   {"qmkp.gate_cost", 27600},
+                   {"qmkp.oracle_calls", 8},
+                   {"qmkp.probes", 3},
+                   {"qmkp.probes_feasible", 1},
+                   {"qmkp.runs", 1},
+                   {"qtkp.attempts", 7},
+                   {"qtkp.found", 1},
+                   {"qtkp.gate_cost", 27600},
+                   {"qtkp.oracle_calls", 8},
+                   {"qtkp.searches", 3},
+                   {"simulator.diffusion_applies", 8},
+                   {"simulator.phase_oracle_applies", 8}},
+                  "root 0\n  qmkp 1\n    qtkp 3\n      qtkp.oracle_eval 3\n"
+                  "        oracle.build 3\n      qtkp.grover_search 3\n"},
+        PinnedRun{"qamkp",
+                  "0 1 2 3",
+                  {{"anneal.hybrid.basin_hops", 64},
+                   {"anneal.hybrid.polish_flips", 186},
+                   {"anneal.hybrid.restarts", 64},
+                   {"anneal.hybrid.runs", 1},
+                   {"anneal.sa.moves_accepted", 18337},
+                   {"anneal.sa.moves_proposed", 126976},
+                   {"anneal.sa.runs", 64},
+                   {"anneal.sa.shots", 64},
+                   {"anneal.sa.sweeps", 4096},
+                   {"anneal.samples", 192}},
+                  "root 0\n  anneal.hybrid 1\n    anneal.sa 64\n"},
+        // The MILP layer records no counters or spans of its own.
+        PinnedRun{"milp", "4 5 6 7", {}, "root 0\n"}),
+    [](const testing::TestParamInfo<PinnedRun>& info) {
+      return std::string(info.param.algorithm);
+    });
+
+TEST(CliSmokeTest, UnknownAlgorithmFailsWithItsName) {
+  const std::filesystem::path graph = WriteExampleGraph();
+  const std::filesystem::path err = TempDir() / "unknown_algorithm.err";
+  EXPECT_EQ(RunCli("--input " + graph.string() +
+                       " --format edgelist --algorithm nope",
+                   "", err.string()),
+            1);
+  EXPECT_NE(ReadFile(err).find("unknown algorithm: nope"), std::string::npos);
+}
+
+TEST(CliSmokeTest, AnyRegisteredBackendSolves) {
+  // sa is a served backend with no paper-named CLI wiring of its own.
+  const std::filesystem::path graph = WriteExampleGraph();
+  const std::filesystem::path out = TempDir() / "sa.out";
+  ASSERT_EQ(RunCli("--input " + graph.string() +
+                       " --format edgelist --k 2 --seed 3 --algorithm sa",
+                   out.string()),
+            0);
+  std::istringstream lines(ReadFile(out));
+  std::string word;
+  int size = 0;
+  ASSERT_TRUE(lines >> word >> size);
+  EXPECT_EQ(word, "size");
+  EXPECT_GE(size, 1);
+  ASSERT_TRUE(lines >> word);
+  EXPECT_EQ(word, "members");
+  int members = 0;
+  for (int v = 0; lines >> v; ++members) {
+  }
+  EXPECT_EQ(members, size);
+}
+
+TEST(CliSmokeTest, RejectsUnknownFormat) {
+  const std::filesystem::path graph = WriteExampleGraph();
+  const std::filesystem::path out = TempDir() / "bad_format.out";
+  const std::filesystem::path err = TempDir() / "bad_format.err";
+  EXPECT_EQ(RunCli("--input " + graph.string() + " --format foo --algorithm bs",
+                   out.string(), err.string()),
+            2);
+  EXPECT_EQ(ReadFile(out), "");
+  EXPECT_NE(ReadFile(err).find("unknown format 'foo'"), std::string::npos);
 }
 
 TEST(CliSmokeTest, RejectsMalformedNumericFlags) {

@@ -318,7 +318,7 @@ TEST(IoTest, LoadMalformedEdgeListFileFails) {
     std::ofstream out(path);
     out << "5\n0 1\n3 3\n1 2\n";
   }
-  const Result<Graph> loaded = LoadEdgeListFile(path.string());
+  const Result<Graph> loaded = LoadGraphFile(path.string(), ParseEdgeList);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("self-loop"), std::string::npos);
@@ -326,10 +326,20 @@ TEST(IoTest, LoadMalformedEdgeListFileFails) {
 }
 
 TEST(IoTest, LoadMissingFileFails) {
-  EXPECT_EQ(LoadEdgeListFile("/nonexistent/x.el").status().code(),
+  EXPECT_EQ(LoadGraphFile("/nonexistent/x.el", ParseEdgeList).status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(LoadDimacsFile("/nonexistent/x.col").status().code(),
+  EXPECT_EQ(LoadGraphFile("/nonexistent/x.col", ParseDimacs).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(IoTest, GraphFormatParserNamesExactlyTwoFormats) {
+  ASSERT_TRUE(GraphFormatParser("dimacs").ok());
+  EXPECT_EQ(GraphFormatParser("dimacs").value(), &ParseDimacs);
+  ASSERT_TRUE(GraphFormatParser("edgelist").ok());
+  EXPECT_EQ(GraphFormatParser("edgelist").value(), &ParseEdgeList);
+  const Result<GraphParser> unknown = GraphFormatParser("foo");
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(unknown.status().message(), "unknown format 'foo'");
 }
 
 TEST(VertexBitsetTest, WordOpsAndTailMasking) {

@@ -120,8 +120,6 @@ BreakerOptions SmallBreaker() {
   BreakerOptions options;
   options.failure_threshold = 2;
   options.cooldown_consults = 3;
-  options.cooldown_multiplier = 2.0;
-  options.cooldown_max_consults = 8;
   return options;
 }
 
@@ -158,7 +156,12 @@ TEST(CircuitBreakerTest, OpensAfterConsecutiveFailuresAndProbesAfterCooldown) {
 }
 
 TEST(CircuitBreakerTest, FailedProbeReopensWithScaledCappedCooldown) {
-  CircuitBreaker breaker("bs", SmallBreaker());
+  // A base cooldown of 24 consults scales to 48, then 96 caps at 64.
+  static_assert(resilience::kBreakerCooldownMultiplier == 2.0);
+  static_assert(resilience::kBreakerCooldownMaxConsults == 64);
+  BreakerOptions options = SmallBreaker();
+  options.cooldown_consults = 24;
+  CircuitBreaker breaker("bs", options);
   auto trip = [&breaker] {
     while (breaker.state() != BreakerState::kOpen) {
       ASSERT_EQ(breaker.Consult(), CircuitBreaker::Decision::kProceed);
@@ -181,16 +184,16 @@ TEST(CircuitBreakerTest, FailedProbeReopensWithScaledCappedCooldown) {
   };
 
   trip();
-  EXPECT_EQ(wait_probe(), 2);  // first cooldown: 3 consults
-  breaker.RecordFailure();     // failed probe: reopen, cooldown doubles to 6
+  EXPECT_EQ(wait_probe(), 23);  // first cooldown: 24 consults
+  breaker.RecordFailure();      // failed probe: reopen, cooldown doubles to 48
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(wait_probe(), 5);
-  breaker.RecordFailure();     // reopen again: 12 capped at 8
-  EXPECT_EQ(wait_probe(), 7);
-  breaker.RecordSuccess();     // recovery resets the scale
+  EXPECT_EQ(wait_probe(), 47);
+  breaker.RecordFailure();      // reopen again: 96 capped at 64
+  EXPECT_EQ(wait_probe(), 63);
+  breaker.RecordSuccess();      // recovery resets the scale
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   trip();
-  EXPECT_EQ(wait_probe(), 2);  // back to the base cooldown
+  EXPECT_EQ(wait_probe(), 23);  // back to the base cooldown
 }
 
 TEST(CircuitBreakerTest, NeutralReleasesProbeWithoutTransition) {
@@ -267,8 +270,8 @@ TEST(OverloadControllerTest, BacklogFullShedsWithClampedHint) {
   const OverloadController::Decision shed = overload.Admit(4, 4, 0);
   EXPECT_FALSE(shed.admit);
   EXPECT_STREQ(shed.reason, "backlog_full");
-  // No delay samples yet: the hint clamps up to the configured minimum.
-  EXPECT_DOUBLE_EQ(shed.retry_after_ms, options.min_retry_after_ms);
+  // No delay samples yet: the hint clamps up to the minimum.
+  EXPECT_DOUBLE_EQ(shed.retry_after_ms, resilience::kMinRetryAfterMs);
   EXPECT_EQ(overload.shed(), 1);
 }
 
@@ -276,14 +279,14 @@ TEST(OverloadControllerTest, AdaptiveShedTracksTheDelayEwma) {
   OverloadOptions options;
   options.target_delay_ms = 10;
   options.ewma_alpha = 1.0;  // no smoothing: the last sample is the EWMA
-  options.shed_factor = 2.0;
-  options.min_backlog = 2;
+  static_assert(resilience::kShedFactor == 2.0);
+  static_assert(resilience::kShedMinBacklog == 2);
   OverloadController overload(options);
 
   // Below 2x target: admit.
   overload.RecordQueueDelay(15);
   EXPECT_TRUE(overload.Admit(3, 100, 0).admit);
-  // Above 2x target but under min_backlog: admit (progress guarantee).
+  // Above 2x target but under kShedMinBacklog: admit (progress guarantee).
   overload.RecordQueueDelay(25);
   EXPECT_TRUE(overload.Admit(1, 100, 0).admit);
   // Above 2x target at depth: shed with a hint of 2x the smoothed delay.
@@ -298,10 +301,8 @@ TEST(OverloadControllerTest, OpenBreakersTightenTheShedThreshold) {
   OverloadOptions options;
   options.target_delay_ms = 10;
   options.ewma_alpha = 1.0;
-  options.shed_factor = 2.0;
-  options.min_backlog = 2;
   OverloadController overload(options);
-  overload.RecordQueueDelay(15);  // between target and target * shed_factor
+  overload.RecordQueueDelay(15);  // between target and target * kShedFactor
   EXPECT_TRUE(overload.Admit(3, 100, 0).admit);
   // Degraded capacity (an open breaker) sheds at the bare target.
   const OverloadController::Decision shed = overload.Admit(3, 100, 1);
@@ -310,14 +311,14 @@ TEST(OverloadControllerTest, OpenBreakersTightenTheShedThreshold) {
 }
 
 TEST(OverloadControllerTest, HintClampsToTheConfiguredRange) {
+  static_assert(resilience::kMinRetryAfterMs == 10);
+  static_assert(resilience::kMaxRetryAfterMs == 2000);
   OverloadOptions options;
   options.target_delay_ms = 1;
   options.ewma_alpha = 1.0;
-  options.min_retry_after_ms = 10;
-  options.max_retry_after_ms = 100;
   OverloadController overload(options);
-  overload.RecordQueueDelay(1000);
-  EXPECT_DOUBLE_EQ(overload.RetryAfterMsHint(), 100);
+  overload.RecordQueueDelay(5000);  // 2 x EWMA = 10000 ms, past the cap
+  EXPECT_DOUBLE_EQ(overload.RetryAfterMsHint(), 2000);
   overload.RecordQueueDelay(0.5);
   EXPECT_DOUBLE_EQ(overload.RetryAfterMsHint(), 10);
 }
@@ -385,7 +386,6 @@ JobSchedulerOptions HealthSchedulerOptions() {
   options.retry.max_retries = 0;  // isolate breaker behavior from retries
   options.retry.backoff_base_ms = 0.01;
   options.retry.backoff_cap_ms = 0.1;
-  options.enable_breakers = true;
   options.breaker.failure_threshold = 2;
   options.breaker.cooldown_consults = 1;  // next consult after opening probes
   return options;

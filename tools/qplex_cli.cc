@@ -1,8 +1,9 @@
 // qplex command-line solver: finds the maximum k-plex of a graph given in
-// DIMACS or edge-list format, with a selectable solver backend.
+// DIMACS or edge-list format with any backend qplex_serve registers, run
+// through the same svc adapter a served request uses.
 //
 //   qplex_cli --input graph.col [--format dimacs|edgelist] [--k 2]
-//             [--algorithm bs|enum|qmkp|qamkp|milp] [--seed 1]
+//             [--algorithm <backend>|qamkp] [--seed 1]
 //             [--threads N] [--metrics-json <file|->] [--metrics-prom <file>]
 //             [--verbose-trace]
 //             [--events <file|->] [--progress-interval-ms N]
@@ -14,17 +15,31 @@
 // structured JSONL events (run lifecycle + rate-limited solver progress
 // heartbeats) while the solve is running; --progress-interval-ms sets the
 // heartbeat spacing (default 250, must be >= 1). --threads parallelizes the
-// state-vector kernels of the quantum solvers (qmkp); results are
-// bit-identical for any thread count.
+// state-vector kernels of the quantum solvers (qmkp, qtkp); results are
+// bit-identical for any thread count. --algorithm qamkp is the paper's name
+// for the hybrid backend.
 
-#include <cmath>
-#include <fstream>
+#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
-#include "qplex/qplex.h"
+#include "common/flags.h"
+#include "common/status.h"
+#include "common/stopwatch.h"
+#include "graph/graph.h"
+#include "graph/io.h"
+#include "obs/events.h"
+#include "obs/metrics.h"
+#include "obs/openmetrics.h"
+#include "obs/run_report.h"
+#include "obs/trace.h"
+#include "quantum/statevector.h"
+#include "resilience/fault_injection.h"
+#include "svc/registry.h"
+#include "svc/solver.h"
 
 namespace qplex {
 namespace {
@@ -32,6 +47,7 @@ namespace {
 struct CliOptions {
   std::string input;
   std::string format = "dimacs";
+  GraphParser parse_graph = &ParseDimacs;  // the parser --format names
   std::string algorithm = "bs";
   int k = 2;
   int threads = 1;
@@ -47,22 +63,31 @@ struct CliOptions {
 
 void PrintUsage() {
   std::cerr << "usage: qplex_cli --input <file|-> [--format dimacs|edgelist]\n"
-               "                 [--k <int>] [--algorithm "
-               "bs|enum|qmkp|qamkp|milp] [--seed <int>]\n"
+               "                 [--k <int>] [--algorithm <backend>] "
+               "[--seed <int>]\n"
                "                 [--threads <int>] [--metrics-json <file|->] "
                "[--metrics-prom <file>]\n"
                "                 [--verbose-trace]\n"
                "                 [--events <file|->] "
                "[--progress-interval-ms <int>]\n"
                "                 [--fault-spec site:rate[:seed]] "
-               "[--max-sim-bytes <int>]\n";
+               "[--max-sim-bytes <int>]\n"
+               "backends:";
+  for (const std::string& name : svc::MakeBuiltinRegistry().Names()) {
+    std::cerr << " " << name;
+  }
+  std::cerr << " (qamkp = hybrid)\n";
 }
 
 Result<CliOptions> ParseArgs(int argc, char** argv) {
   CliOptions options;
   FlagParser flags;
   flags.String("--input", &options.input);
-  flags.String("--format", &options.format);
+  flags.Custom("--format", [&](const std::string& value) -> Status {
+    QPLEX_ASSIGN_OR_RETURN(options.parse_graph, GraphFormatParser(value));
+    options.format = value;
+    return Status::Ok();
+  });
   flags.String("--algorithm", &options.algorithm);
   flags.Number("--k", &options.k, 1);
   flags.Number("--seed", &options.seed);
@@ -85,126 +110,34 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
 }
 
 Result<Graph> LoadGraph(const CliOptions& options) {
-  std::string text;
-  if (options.input == "-") {
-    std::ostringstream buffer;
-    buffer << std::cin.rdbuf();
-    text = buffer.str();
-  } else if (options.format == "dimacs") {
-    return LoadDimacsFile(options.input);
-  } else {
-    return LoadEdgeListFile(options.input);
+  if (options.input != "-") {
+    return LoadGraphFile(options.input, options.parse_graph);
   }
-  return options.format == "dimacs" ? ParseDimacs(text) : ParseEdgeList(text);
+  std::ostringstream buffer;
+  buffer << std::cin.rdbuf();
+  return options.parse_graph(buffer.str());
 }
 
-Result<MkpSolution> Solve(const CliOptions& options, const Graph& graph) {
-  // Direct CLI solves run outside any request scope, so the incumbent events
-  // carry no trace/path; qplex_obs --convergence lists them as "(direct)".
-  if (options.algorithm == "bs") {
-    BsSolverOptions bs_options;
-    obs::IncumbentReporter reporter("bs");
-    if (reporter.enabled()) {
-      bs_options.on_incumbent = [&reporter](const MkpSolution& best,
-                                            const BsSolverStats& stats) {
-        reporter.Report(best.size, stats.branch_nodes);
-      };
-      bs_options.on_bound = [&reporter](double bound,
-                                        const BsSolverStats& stats) {
-        reporter.ReportBound(bound, stats.branch_nodes);
-      };
-    }
-    BsSolver solver(bs_options);
-    return solver.Solve(graph, options.k);
+/// Runs the registered backend `--algorithm` names on the graph, exactly as
+/// qplex_serve would but without its scheduler: no budget, no cancellation
+/// and no svc.job span, so the trace tree holds the solver's spans alone.
+/// The incumbent events carry no trace/path; qplex_obs --convergence lists
+/// them as "(direct)".
+Result<MkpSolution> Solve(const CliOptions& options, Graph graph) {
+  const svc::SolverRegistry registry = svc::MakeBuiltinRegistry();
+  svc::SolveRequest request;
+  request.backend = options.algorithm == "qamkp" ? "hybrid" : options.algorithm;
+  const svc::Solver* solver = registry.Get(request.backend);
+  if (solver == nullptr) {
+    return Status::InvalidArgument("unknown algorithm: " + options.algorithm);
   }
-  if (options.algorithm == "enum") {
-    EnumerationControl control;
-    obs::IncumbentReporter reporter("enum");
-    if (reporter.enabled()) {
-      control.on_incumbent = [&reporter](const MkpSolution& best,
-                                         std::uint64_t masks_scanned) {
-        reporter.Report(best.size, static_cast<std::int64_t>(masks_scanned));
-      };
-    }
-    return SolveMkpByEnumeration(graph, options.k, control);
-  }
-  if (options.algorithm == "qmkp") {
-    QtkpOptions qtkp;
-    qtkp.backend = graph.num_vertices() <= 10 ? OracleBackend::kCircuit
-                                              : OracleBackend::kPredicate;
-    qtkp.seed = options.seed;
-    qtkp.threads = options.threads;
-    obs::IncumbentReporter reporter("qmkp");
-    QmkpProgressCallback on_progress;
-    if (reporter.enabled()) {
-      on_progress = [&reporter](const QmkpProbe& /*probe*/,
-                                const QmkpResult& so_far) {
-        reporter.Report(so_far.best_size, so_far.total_oracle_calls);
-      };
-    }
-    QPLEX_ASSIGN_OR_RETURN(QmkpResult result,
-                           RunQmkp(graph, options.k, qtkp, on_progress));
-    MkpSolution solution;
-    solution.members = result.best_plex;
-    solution.size = result.best_size;
-    solution.mask = result.best_mask;
-    return solution;
-  }
-  if (options.algorithm == "qamkp") {
-    QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo, BuildMkpQubo(graph, options.k));
-    HybridSolverOptions hybrid;
-    hybrid.seed = options.seed;
-    hybrid.refine = [&qubo](QuboSample* sample) { qubo.ImproveSample(sample); };
-    obs::IncumbentReporter reporter("hybrid");
-    if (reporter.enabled()) {
-      hybrid.hooks.on_new_best = [&reporter, &qubo](const QuboSample& sample,
-                                                    double energy,
-                                                    std::int64_t sweeps) {
-        reporter.Report(static_cast<int>(qubo.RepairToPlex(sample).size()),
-                        sweeps, energy);
-      };
-    }
-    QPLEX_ASSIGN_OR_RETURN(AnnealResult annealed,
-                           HybridSolver(hybrid).Run(qubo.model));
-    MkpSolution solution;
-    solution.members = qubo.RepairToPlex(annealed.best_sample);
-    solution.size = static_cast<int>(solution.members.size());
-    return solution;
-  }
-  if (options.algorithm == "milp") {
-    QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo, BuildMkpQubo(graph, options.k));
-    const LinearizedQubo linearized = LinearizeQubo(qubo.model);
-    MilpSolverOptions milp_options;
-    milp_options.time_limit_seconds = 60;
-    milp_options.incumbent_heuristic =
-        MakeQuboRoundingHeuristic(qubo.model, linearized);
-    obs::IncumbentReporter reporter("milp");
-    if (reporter.enabled()) {
-      milp_options.on_incumbent = [&reporter, &qubo, &linearized](
-                                      const std::vector<double>& x,
-                                      double objective, std::int64_t nodes) {
-        const QuboSample sample = ExtractSample(linearized, x);
-        reporter.Report(static_cast<int>(qubo.RepairToPlex(sample).size()),
-                        nodes, objective);
-      };
-      milp_options.on_bound = [&reporter](double bound, std::int64_t nodes) {
-        // Objective lower bound -> plex-size upper bound (energy of a size-s
-        // plex is -s); see the milp service adapter for the derivation.
-        reporter.ReportBound(std::floor(-bound + 1e-6), nodes);
-      };
-    }
-    QPLEX_ASSIGN_OR_RETURN(MilpSolution milp,
-                           MilpSolver(milp_options).Solve(linearized.milp));
-    if (!milp.feasible) {
-      return Status::Internal("MILP produced no feasible point");
-    }
-    const QuboSample sample = ExtractSample(linearized, milp.x);
-    MkpSolution solution;
-    solution.members = qubo.RepairToPlex(sample);
-    solution.size = static_cast<int>(solution.members.size());
-    return solution;
-  }
-  return Status::InvalidArgument("unknown algorithm: " + options.algorithm);
+  request.graph = std::move(graph);
+  request.k = options.k;
+  request.seed = options.seed;
+  request.options["threads"] = std::to_string(options.threads);
+  QPLEX_ASSIGN_OR_RETURN(svc::SolveOutcome outcome,
+                         solver->Solve(request, svc::SolveContext{}));
+  return std::move(outcome.solution);
 }
 
 /// Builds the structured run report after a solve; meta fields capture the
@@ -335,12 +268,11 @@ int Main(int argc, char** argv) {
     }
   }
   if (!options.value().metrics_prom.empty()) {
-    const std::string text =
-        obs::RenderOpenMetrics(obs::MetricsRegistry::Global().Snapshot());
-    std::ofstream out(options.value().metrics_prom, std::ios::trunc);
-    if (!out || !(out << text)) {
+    const Status written =
+        obs::WriteOpenMetricsSnapshot(options.value().metrics_prom);
+    if (!written.ok()) {
       std::cerr << "failed to write OpenMetrics exposition to "
-                << options.value().metrics_prom << "\n";
+                << options.value().metrics_prom << ": " << written << "\n";
       return 1;
     }
   }

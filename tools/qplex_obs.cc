@@ -58,7 +58,12 @@
 #include <string>
 #include <vector>
 
-#include "qplex/qplex.h"
+#include "common/flags.h"
+#include "common/status.h"
+#include "obs/analysis.h"
+#include "obs/convergence.h"
+#include "obs/openmetrics.h"
+#include "svc/front_end.h"
 
 namespace qplex {
 namespace {

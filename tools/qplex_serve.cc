@@ -38,7 +38,6 @@
 // byte-identical journal to the run it recorded.
 
 #include <csignal>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -47,7 +46,23 @@
 #include <utility>
 #include <vector>
 
-#include "qplex/qplex.h"
+#include "common/flags.h"
+#include "common/status.h"
+#include "common/stopwatch.h"
+#include "net/frame.h"
+#include "net/io.h"
+#include "net/server.h"
+#include "obs/events.h"
+#include "obs/metrics.h"
+#include "obs/openmetrics.h"
+#include "obs/run_report.h"
+#include "obs/trace.h"
+#include "quantum/statevector.h"
+#include "resilience/fault_injection.h"
+#include "svc/front_end.h"
+#include "svc/registry.h"
+#include "svc/request.h"
+#include "svc/scheduler.h"
 
 namespace qplex {
 namespace {
@@ -268,29 +283,6 @@ Result<std::int64_t> ReplayJournal(
   return failures;
 }
 
-/// Writes one OpenMetrics snapshot of the global registry, atomically
-/// (tmp file + rename) so a scraper tailing the path never sees a torn
-/// exposition.
-Status WritePromSnapshot(const std::string& path) {
-  const std::string text =
-      obs::RenderOpenMetrics(obs::MetricsRegistry::Global().Snapshot());
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return Status::InvalidArgument("cannot open metrics file: " + tmp);
-    }
-    out << text;
-    if (!out) {
-      return Status::Internal("failed writing metrics file: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("failed to move metrics file into place: " + path);
-  }
-  return Status::Ok();
-}
-
 /// Wires the mode's line source to the shared front-end and runs it. The
 /// tick callback is where the signal flag and the periodic OpenMetrics
 /// snapshots meet the serve loop.
@@ -344,7 +336,7 @@ Result<svc::ServeOutcome> Serve(
                 options.metrics_prom_interval_ms) {
           since_snapshot.Restart();
           // Transient IO failures retry at the next interval.
-          (void)WritePromSnapshot(options.metrics_prom);
+          (void)obs::WriteOpenMetricsSnapshot(options.metrics_prom);
         }
         return g_signal != 0;
       }));
@@ -444,7 +436,6 @@ int Main(int argc, char** argv) {
   scheduler_options.enable_cache = options.value().cache;
   scheduler_options.retry.max_retries = options.value().max_retries;
   scheduler_options.slo_latency_ms = options.value().slo_ms;
-  scheduler_options.enable_breakers = options.value().breaker_threshold > 0;
   scheduler_options.breaker.failure_threshold =
       options.value().breaker_threshold;
   scheduler_options.breaker.cooldown_consults =
@@ -504,7 +495,8 @@ int Main(int argc, char** argv) {
   }
 
   if (!options.value().metrics_prom.empty()) {
-    const Status written = WritePromSnapshot(options.value().metrics_prom);
+    const Status written =
+        obs::WriteOpenMetricsSnapshot(options.value().metrics_prom);
     if (!written.ok()) {
       std::cerr << "failed to write OpenMetrics exposition to "
                 << options.value().metrics_prom << ": " << written << "\n";

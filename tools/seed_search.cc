@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <iostream>
+#include <utility>
+#include <vector>
 
-#include "classical/exact.h"
 #include "graph/generators.h"
+#include "svc/registry.h"
 
 namespace qplex {
 namespace {
@@ -17,11 +19,15 @@ namespace {
 void Search(const char* name, int n, int m,
             const std::vector<std::pair<int, int>>& requirements,
             std::uint64_t limit = 5000) {
+  static const svc::SolverRegistry registry = svc::MakeBuiltinRegistry();
+  const svc::Solver& enumerate = *registry.Get("enum");
+  svc::SolveRequest request;
   for (std::uint64_t seed = 1; seed <= limit; ++seed) {
-    const Graph graph = RandomGnm(n, m, seed).value();
+    request.graph = RandomGnm(n, m, seed).value();
     bool ok = true;
     for (const auto& [k, want] : requirements) {
-      if (SolveMkpByEnumeration(graph, k).value().size != want) {
+      request.k = k;
+      if (enumerate.Solve(request, {}).value().solution.size != want) {
         ok = false;
         break;
       }
