@@ -1,7 +1,11 @@
 // Microbenchmarks of the quantum substrate: state-vector gate application,
-// Grover iterations, and literal-oracle basis-state execution.
+// Grover iterations, and literal-oracle basis-state execution (one state,
+// and a whole marked set at 64 states per pass).
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -58,6 +62,27 @@ void BM_OracleEvaluate(benchmark::State& state) {
   state.counters["gates"] = static_cast<double>(oracle.circuit().num_gates());
 }
 BENCHMARK(BM_OracleEvaluate)->Arg(8)->Arg(10)->Arg(12);
+
+/// The whole marked set of one qMKP probe: 2^n basis states, 64 per pass over
+/// the circuit. `ns_per_gate_state` is wall time over gates x 2^n.
+void BM_OracleMarkedStates(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const Graph graph = RandomGnm(n, n * (n - 1) / 4, 3).value();
+  const MkpOracle oracle = MkpOracle::Build(graph, 2, n / 2).value();
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle.MarkedStates().size());
+  }
+  const double wall_ns = std::chrono::duration<double, std::nano>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  const double gates = static_cast<double>(oracle.circuit().num_gates());
+  state.counters["gates"] = gates;
+  state.counters["ns_per_gate_state"] =
+      wall_ns / (static_cast<double>(state.iterations()) * gates *
+                 static_cast<double>(std::uint64_t{1} << n));
+}
+BENCHMARK(BM_OracleMarkedStates)->Arg(8)->Arg(10)->Arg(12);
 
 }  // namespace
 }  // namespace qplex

@@ -12,8 +12,8 @@ namespace qplex {
 
 /// How qTKP's marked set is obtained.
 enum class OracleBackend {
-  /// Execute the literal constructed oracle circuit per basis state
-  /// (faithful; what the experiments use at paper scale).
+  /// Execute the literal constructed oracle circuit on every basis state,
+  /// 64 per pass (faithful; what the experiments use at paper scale).
   kCircuit,
   /// Evaluate the semantic k-plex predicate directly (identical results —
   /// proven by tests — but much faster; used for wide parameter sweeps).

@@ -179,41 +179,17 @@ Result<MkpOracle> MkpOracle::Build(const Graph& graph, int k, int threshold,
 }
 
 bool MkpOracle::Evaluate(std::uint64_t vertex_mask) const {
-  BitString input(circuit_.num_qubits());
-  input.StoreInt(0, num_vertices_, vertex_mask);
-  Result<BitString> final_state = BasisStateSimulator::Execute(circuit_, input);
-  QPLEX_CHECK(final_state.ok()) << final_state.status().ToString();
-  return final_state.value().Get(oracle_wire_);
+  const Result<bool> bit = EvaluateChecked(vertex_mask);
+  QPLEX_CHECK(bit.ok()) << bit.status().ToString();
+  return bit.value();
 }
 
 Result<bool> MkpOracle::EvaluateChecked(std::uint64_t vertex_mask) const {
-  BitString input(circuit_.num_qubits());
-  input.StoreInt(0, num_vertices_, vertex_mask);
-  QPLEX_ASSIGN_OR_RETURN(BitString final_state,
-                         BasisStateSimulator::Execute(circuit_, input));
-  // Uncompute contract: all wires except the oracle bit must match the input.
-  for (int wire = 0; wire < circuit_.num_qubits(); ++wire) {
-    if (wire == oracle_wire_) {
-      continue;
-    }
-    if (final_state.Get(wire) != input.Get(wire)) {
-      return Status::Internal("ancilla wire " + std::to_string(wire) +
-                              " not restored by uncompute");
-    }
-  }
-  return final_state.Get(oracle_wire_);
+  return EvaluateOracle(circuit_, num_vertices_, oracle_wire_, vertex_mask);
 }
 
 std::vector<std::uint64_t> MkpOracle::MarkedStates() const {
-  QPLEX_CHECK(num_vertices_ <= 30) << "exhaustive evaluation needs n <= 30";
-  std::vector<std::uint64_t> marked;
-  const std::uint64_t space = std::uint64_t{1} << num_vertices_;
-  for (std::uint64_t mask = 0; mask < space; ++mask) {
-    if (Evaluate(mask)) {
-      marked.push_back(mask);
-    }
-  }
-  return marked;
+  return MarkedInputs(circuit_, num_vertices_, oracle_wire_);
 }
 
 OracleCostReport MkpOracle::CostReport() const {

@@ -65,9 +65,10 @@ struct MkpOracleOptions {
 ///                +--[U_check^dagger uncompute]--
 ///
 /// All gates are classical-reversible (X with controls), so the circuit can
-/// be evaluated exactly on one basis state at a time however many ancillas it
-/// uses — this is the trick that lets qplex execute the literal paper
-/// construction, whose width is O(n^2 log n) qubits.
+/// be evaluated exactly basis state by basis state however many ancillas it
+/// uses — 64 states per pass, one per bit of a wire word
+/// (BasisStateSimulator). This is the trick that lets qplex execute the
+/// literal paper construction, whose width is O(n^2 log n) qubits.
 class MkpOracle {
  public:
   /// Builds the oracle for `graph`, plex parameter `k` (>= 1) and size
@@ -87,15 +88,19 @@ class MkpOracle {
   int num_qubits() const { return circuit_.num_qubits(); }
 
   /// Evaluates the oracle on a vertex subset by executing the literal gate
-  /// list; returns the oracle bit. Cost: one pass over the circuit.
+  /// list in one lane; returns the oracle bit. Cost: one pass over the
+  /// circuit. A broken uncompute contract (below) fails a QPLEX_CHECK.
   bool Evaluate(std::uint64_t vertex_mask) const;
 
-  /// Like Evaluate, but also verifies that every ancilla wire is restored to
-  /// |0> and the vertex register is unchanged (the uncompute contract).
-  /// Returns InternalError if the contract is violated.
+  /// Like Evaluate, but returns Internal instead of aborting when the run
+  /// breaks the uncompute contract: every ancilla wire restored to |0> and
+  /// the vertex register unchanged.
   Result<bool> EvaluateChecked(std::uint64_t vertex_mask) const;
 
-  /// All marked subsets, by exhaustive evaluation over the 2^n masks.
+  /// All marked subsets in ascending order, by exhaustive evaluation over the
+  /// 2^n masks: one pass over the circuit per 64 masks, each pass checking
+  /// the uncompute contract in every lane (a violation fails a QPLEX_CHECK).
+  /// Requires n <= 30.
   std::vector<std::uint64_t> MarkedStates() const;
 
   /// Per-stage cost report (Gate::Cost sums — a hardware-time proxy where a

@@ -10,9 +10,9 @@
 namespace qplex {
 
 /// A fixed-width string of classical bits — the computational-basis state of
-/// a (possibly very wide) qubit register. The reversible-oracle simulator
-/// executes X/CNOT/C^kNOT circuits directly on BitStrings, which is what makes
-/// simulating the paper's O(n^2 log n)-qubit oracles tractable.
+/// a (possibly very wide) qubit register, and one lane of the reversible-oracle
+/// simulator (BasisStateSimulator::Lane/SetLane), which executes the paper's
+/// O(n^2 log n)-qubit X/CNOT/C^kNOT oracles on basis states.
 class BitString {
  public:
   BitString() = default;

@@ -41,7 +41,7 @@ struct Gate {
   /// True when the gate maps computational-basis states to computational-
   /// basis states (up to phase) — everything except H. The MKP oracle is
   /// built exclusively from classical gates, which is what lets the basis
-  /// simulator execute it on one bit-string at a time.
+  /// simulator execute it on basis states, 64 per pass.
   bool IsClassical() const { return kind != GateKind::kH; }
 
   /// A crude execution-cost proxy: 1 + number of controls. Multi-controlled

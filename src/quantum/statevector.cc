@@ -171,8 +171,8 @@ void StateVectorSimulator::ApplyGate(const Gate& gate) {
       z_applies.Increment();
       // Z flips the phase where the target bit is set AND the controls fire:
       // one fused mask compare per basis state. (A control on the target
-      // wire keeps the old ControlsFire semantics: a positive control is
-      // subsumed by the target-bit requirement, a negative one never fires.)
+      // wire matches BasisStateSimulator: a positive control is subsumed by
+      // the target-bit requirement, a negative one never fires.)
       const std::uint64_t full_mask = control.mask | target_bit;
       const std::uint64_t full_value = control.value | target_bit;
       const bool negative_control_on_target =

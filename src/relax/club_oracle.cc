@@ -106,37 +106,17 @@ Result<Club2Oracle> Club2Oracle::Build(const Graph& graph, int threshold) {
 }
 
 bool Club2Oracle::Evaluate(std::uint64_t vertex_mask) const {
-  BitString input(circuit_.num_qubits());
-  input.StoreInt(0, num_vertices_, vertex_mask);
-  Result<BitString> final_state = BasisStateSimulator::Execute(circuit_, input);
-  QPLEX_CHECK(final_state.ok()) << final_state.status().ToString();
-  return final_state.value().Get(oracle_wire_);
+  const Result<bool> bit = EvaluateChecked(vertex_mask);
+  QPLEX_CHECK(bit.ok()) << bit.status().ToString();
+  return bit.value();
 }
 
 Result<bool> Club2Oracle::EvaluateChecked(std::uint64_t vertex_mask) const {
-  BitString input(circuit_.num_qubits());
-  input.StoreInt(0, num_vertices_, vertex_mask);
-  QPLEX_ASSIGN_OR_RETURN(BitString final_state,
-                         BasisStateSimulator::Execute(circuit_, input));
-  for (int wire = 0; wire < circuit_.num_qubits(); ++wire) {
-    if (wire != oracle_wire_ && final_state.Get(wire) != input.Get(wire)) {
-      return Status::Internal("ancilla wire " + std::to_string(wire) +
-                              " not restored by uncompute");
-    }
-  }
-  return final_state.Get(oracle_wire_);
+  return EvaluateOracle(circuit_, num_vertices_, oracle_wire_, vertex_mask);
 }
 
 std::vector<std::uint64_t> Club2Oracle::MarkedStates() const {
-  QPLEX_CHECK(num_vertices_ <= 30) << "exhaustive evaluation needs n <= 30";
-  std::vector<std::uint64_t> marked;
-  for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << num_vertices_);
-       ++mask) {
-    if (Evaluate(mask)) {
-      marked.push_back(mask);
-    }
-  }
-  return marked;
+  return MarkedInputs(circuit_, num_vertices_, oracle_wire_);
 }
 
 Result<Max2ClubResult> RunQMax2Club(const Graph& graph, std::uint64_t seed) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/instances.h"
@@ -91,6 +92,41 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4, 5, 6, 7),  // n
                        ::testing::Values(1, 2, 3),     // k
                        ::testing::Values(11, 22)));    // seed
+
+/// Property: MarkedStates, which runs 64 masks per pass over the circuit,
+/// returns exactly the ascending list of predicate-true masks. n = 1..5 leaves
+/// part of the single block unused, n = 6 fills exactly one block and larger
+/// n spans many; every k in 1..3, every T in [0, n] and both degree-count
+/// constructions are covered.
+class MarkedStatesPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MarkedStatesPropertyTest, EqualsAscendingPredicateMasks) {
+  const int n = GetParam();
+  const Graph graph = RandomGnm(n, n * (n - 1) / 4, 100 + n).value();
+  for (const DegreeCountMode mode :
+       {DegreeCountMode::kRippleAdder, DegreeCountMode::kIncrement}) {
+    MkpOracleOptions options;
+    options.degree_count_mode = mode;
+    for (int k = 1; k <= 3; ++k) {
+      for (int threshold = 0; threshold <= n; ++threshold) {
+        std::vector<std::uint64_t> expected;
+        for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << n); ++mask) {
+          if (MkpPredicate(graph, k, threshold, mask)) {
+            expected.push_back(mask);
+          }
+        }
+        const MkpOracle oracle =
+            MkpOracle::Build(graph, k, threshold, options).value();
+        ASSERT_EQ(oracle.MarkedStates(), expected)
+            << "n=" << n << " k=" << k << " T=" << threshold << " mode="
+            << static_cast<int>(mode);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, MarkedStatesPropertyTest,
+                         ::testing::Range(1, 13));
 
 TEST(MkpOracleTest, ExtremeGraphs) {
   // Complete graph: every subset is a 1-plex (complement has no edges).

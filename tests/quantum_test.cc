@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "quantum/basis_sim.h"
 #include "quantum/bitstring.h"
@@ -172,10 +174,11 @@ TEST(BasisSimTest, ZTracksPhaseParity) {
   circuit.Append(MakeMCZ({1}, 0));
 
   BasisStateSimulator sim(2);
-  sim.mutable_state()->Set(0, true);
+  sim.wires()[0] = 1;  // q0 = |1> in lane 0 only
   QPLEX_CHECK(sim.Run(circuit).ok());
   // Plain Z fires (target |1>), controlled-Z does not (control |0>).
-  EXPECT_TRUE(sim.phase_parity());
+  EXPECT_TRUE(sim.phase() & 1);
+  EXPECT_EQ(sim.phase(), std::uint64_t{1});  // lanes 1..63 hold q0 = |0>
 }
 
 TEST(BasisSimTest, CcxTruthTable) {
@@ -195,6 +198,121 @@ TEST(BasisSimTest, InputWiderThanCircuitFails) {
   Circuit circuit;
   circuit.AllocateQubit("q");
   EXPECT_FALSE(BasisStateSimulator::Execute(circuit, BitString(5)).ok());
+}
+
+/// Property: one 64-lane run equals 64 one-lane runs, lane by lane, in both
+/// the final basis state and the Z phase, on seeded random reversible
+/// circuits with negative controls and controlled Z.
+class BasisLaneTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BasisLaneTest, SixtyFourLanesMatchOneLaneRuns) {
+  const int seed = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed));
+  const int n = 10;
+  Circuit circuit;
+  circuit.AllocateRegister("q", n);
+  for (int g = 0; g < 80; ++g) {
+    Gate gate;
+    gate.kind = rng.Bernoulli(0.25) ? GateKind::kZ : GateKind::kX;
+    gate.target = static_cast<int>(rng.UniformInt(n));
+    const int num_controls = static_cast<int>(rng.UniformInt(4));
+    for (int c = 0; c < num_controls; ++c) {
+      const int wire = static_cast<int>(rng.UniformInt(n));
+      if (wire != gate.target) {
+        gate.controls.push_back(Control{wire, rng.Bernoulli(0.6)});
+      }
+    }
+    circuit.Append(std::move(gate));
+  }
+
+  BasisStateSimulator lanes(n);
+  std::vector<BitString> inputs;
+  for (int lane = 0; lane < BasisStateSimulator::kLanes; ++lane) {
+    BitString bits(n);
+    bits.StoreInt(0, n, rng.UniformInt(std::uint64_t{1} << n));
+    lanes.SetLane(lane, bits);
+    inputs.push_back(bits);
+  }
+  ASSERT_TRUE(lanes.Run(circuit).ok());
+
+  for (int lane = 0; lane < BasisStateSimulator::kLanes; ++lane) {
+    const BitString& input = inputs[static_cast<std::size_t>(lane)];
+    BasisStateSimulator one(n);
+    one.SetLane(0, input);
+    ASSERT_TRUE(one.Run(circuit).ok());
+    EXPECT_EQ(lanes.Lane(lane), one.Lane(0))
+        << "seed=" << seed << " lane=" << lane;
+    EXPECT_EQ(lanes.Lane(lane),
+              BasisStateSimulator::Execute(circuit, input).value())
+        << "seed=" << seed << " lane=" << lane;
+    EXPECT_EQ((lanes.phase() >> lane) & 1, one.phase() & 1)
+        << "seed=" << seed << " lane=" << lane;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BasisLaneTest, ::testing::Range(1, 9));
+
+/// A two-input AND oracle: U computes v0 AND v1 into an ancilla, the flip
+/// copies it to the output, and U^dagger restores the ancilla unless
+/// `uncompute` is false.
+Circuit AndOracle(bool uncompute, int* output_wire) {
+  Circuit circuit;
+  circuit.AllocateRegister("v", 2);
+  const int ancilla = circuit.AllocateQubit("a");
+  *output_wire = circuit.AllocateQubit("O");
+  circuit.Append(MakeCCX(0, 1, ancilla));
+  circuit.Append(MakeCX(ancilla, *output_wire));
+  if (uncompute) {
+    circuit.Append(MakeCCX(0, 1, ancilla));
+  }
+  return circuit;
+}
+
+TEST(OracleLanesTest, CleanOracleMarksItsInputs) {
+  int out = 0;
+  const Circuit circuit = AndOracle(/*uncompute=*/true, &out);
+  EXPECT_EQ(MarkedInputs(circuit, 2, out), std::vector<std::uint64_t>{3});
+  EXPECT_TRUE(EvaluateOracle(circuit, 2, out, 0b11).value());
+  EXPECT_FALSE(EvaluateOracle(circuit, 2, out, 0b01).value());
+}
+
+TEST(OracleLanesTest, BrokenUncomputeIsReportedInEveryLane) {
+  int out = 0;
+  const Circuit circuit = AndOracle(/*uncompute=*/false, &out);
+  // Lane 0 of mask 0b01 never sets the ancilla, so the contract holds there.
+  EXPECT_TRUE(EvaluateOracle(circuit, 2, out, 0b01).ok());
+  EXPECT_EQ(EvaluateOracle(circuit, 2, out, 0b11).status().code(),
+            StatusCode::kInternal);
+  // A dirty ancilla in lane 3 alone fails the whole block.
+  BasisStateSimulator sim(circuit.num_qubits());
+  const std::vector<std::uint64_t> inputs = {0b1010, 0b1100};
+  EXPECT_EQ(RunOracleLanes(circuit, out, inputs, &sim).status().code(),
+            StatusCode::kInternal);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(MarkedInputs(circuit, 2, out), "not restored by uncompute");
+}
+
+TEST(OracleLanesTest, ChangedInputWireIsReported) {
+  Circuit circuit;
+  circuit.AllocateRegister("v", 2);
+  const int out = circuit.AllocateQubit("O");
+  circuit.Append(MakeCX(0, 1));
+  EXPECT_TRUE(EvaluateOracle(circuit, 2, out, 0b10).ok());
+  EXPECT_EQ(EvaluateOracle(circuit, 2, out, 0b01).status().code(),
+            StatusCode::kInternal);
+}
+
+TEST(BasisSimTest, LaneRoundTripsAndLeavesOtherLanes) {
+  BasisStateSimulator sim(70);
+  BitString bits(70);
+  bits.Set(3, true);
+  bits.Set(69, true);
+  sim.SetLane(63, bits);
+  EXPECT_EQ(sim.Lane(63), bits);
+  EXPECT_TRUE(sim.Lane(0).IsZero());
+  EXPECT_EQ(sim.wires()[69], std::uint64_t{1} << 63);
+  sim.Reset();
+  EXPECT_TRUE(sim.Lane(63).IsZero());
 }
 
 // -- StateVectorSimulator --------------------------------------------------------
@@ -302,8 +420,8 @@ TEST(StateVectorTest, SamplingMatchesDistribution) {
 
 /// Property: on classical circuits, the dense state-vector simulator and the
 /// basis-state simulator agree exactly for every basis input. This is the
-/// bridge that justifies simulating the wide oracles one basis state at a
-/// time.
+/// bridge that justifies simulating the wide oracles basis state by basis
+/// state.
 class SimulatorEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimulatorEquivalenceTest, BasisAndStateVectorAgree) {
