@@ -61,13 +61,6 @@ void VertexBitset::OrWith(const VertexBitset& other) {
   }
 }
 
-void VertexBitset::AndWith(const VertexBitset& other) {
-  QPLEX_CHECK(num_bits_ == other.num_bits_) << "bitset size mismatch";
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] &= other.words_[i];
-  }
-}
-
 void VertexBitset::AndNotWith(const VertexBitset& other) {
   QPLEX_CHECK(num_bits_ == other.num_bits_) << "bitset size mismatch";
   for (std::size_t i = 0; i < words_.size(); ++i) {
@@ -184,35 +177,6 @@ Graph Graph::Complement() const {
   return complement;
 }
 
-Graph Graph::InducedSubgraph(const VertexBitset& keep,
-                             std::vector<Vertex>* old_to_new) const {
-  QPLEX_CHECK(keep.size() == num_vertices_) << "subset size mismatch";
-  std::vector<Vertex> mapping(num_vertices_, -1);
-  Vertex next = 0;
-  for (Vertex v = 0; v < num_vertices_; ++v) {
-    if (keep.Test(v)) {
-      mapping[v] = next++;
-    }
-  }
-  Graph sub(next);
-  std::vector<std::pair<Vertex, Vertex>> kept_edges;
-  for (Vertex u = 0; u < num_vertices_; ++u) {
-    if (mapping[u] < 0) {
-      continue;
-    }
-    for (Vertex v : neighbors_[u]) {
-      if (u < v && mapping[v] >= 0) {
-        kept_edges.emplace_back(mapping[u], mapping[v]);
-      }
-    }
-  }
-  sub.AddEdges(kept_edges);
-  if (old_to_new != nullptr) {
-    *old_to_new = std::move(mapping);
-  }
-  return sub;
-}
-
 std::string Graph::ToString() const {
   std::ostringstream out;
   out << "Graph(n=" << num_vertices_ << ", m=" << num_edges_ << ")";
@@ -223,6 +187,12 @@ Result<Graph> MakeGraph(int num_vertices,
                         const std::vector<std::pair<Vertex, Vertex>>& edges) {
   if (num_vertices < 0) {
     return Status::InvalidArgument("negative vertex count");
+  }
+  if (num_vertices > kMaxVertices) {
+    return Status::ResourceExhausted(
+        "graph has " + std::to_string(num_vertices) +
+        " vertices; at most " + std::to_string(kMaxVertices) +
+        " are accepted");
   }
   Graph graph(num_vertices);
   for (const auto& [u, v] : edges) {

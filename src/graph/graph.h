@@ -33,7 +33,6 @@ class VertexBitset {
   }
   void Set(Vertex v) { words_[static_cast<std::size_t>(v) >> 6] |= Bit(v); }
   void Reset(Vertex v) { words_[static_cast<std::size_t>(v) >> 6] &= ~Bit(v); }
-  void Assign(Vertex v, bool value) { value ? Set(v) : Reset(v); }
 
   /// Number of set bits.
   int Count() const;
@@ -50,7 +49,6 @@ class VertexBitset {
 
   /// In-place set algebra against a same-size set.
   void OrWith(const VertexBitset& other);
-  void AndWith(const VertexBitset& other);
   void AndNotWith(const VertexBitset& other);
 
   /// Backing word array (little-endian bit order, (size + 63) / 64 words;
@@ -127,8 +125,7 @@ class Graph {
   /// touched list once at the end. O(m + Σ d log d) total, versus the
   /// O(Σ d²) worst case of per-edge sorted inserts through AddEdge — the
   /// difference between linear and quadratic time when a vertex's whole
-  /// neighbourhood arrives in one batch (MakeGraph, Complement,
-  /// InducedSubgraph, reductions).
+  /// neighbourhood arrives in one batch (MakeGraph, reductions).
   void AddEdges(const std::vector<std::pair<Vertex, Vertex>>& edges);
 
   bool HasEdge(Vertex u, Vertex v) const {
@@ -154,12 +151,6 @@ class Graph {
   /// The complement graph Ḡ: same vertices, edge iff not an edge here.
   Graph Complement() const;
 
-  /// The subgraph induced by `keep`, with vertices renumbered 0..|keep|-1 in
-  /// ascending original order. `old_to_new` (optional) receives the mapping,
-  /// -1 for dropped vertices.
-  Graph InducedSubgraph(const VertexBitset& keep,
-                        std::vector<Vertex>* old_to_new = nullptr) const;
-
   /// Human-readable one-line summary, e.g. "Graph(n=6, m=8)".
   std::string ToString() const;
 
@@ -170,8 +161,13 @@ class Graph {
   std::vector<VertexList> neighbors_;
 };
 
+/// The largest vertex count MakeGraph accepts: the dense adjacency costs
+/// n²/8 bytes, 128 MiB at the cap.
+inline constexpr int kMaxVertices = 1 << 15;
+
 /// Builds a graph from an explicit edge list. Vertices outside [0, n) are a
-/// checked error.
+/// checked error; more than kMaxVertices vertices is ResourceExhausted.
+/// Every inline, edge-list and DIMACS graph is built here.
 Result<Graph> MakeGraph(int num_vertices,
                         const std::vector<std::pair<Vertex, Vertex>>& edges);
 

@@ -14,6 +14,13 @@
 namespace qplex {
 namespace {
 
+/// With M known the per-attempt failure probability is known exactly, so
+/// qTKP raises the attempt budget above max_attempts until the residual
+/// misclassification probability drops below this target (capped at 64
+/// attempts). Retries are cheap: over-rotated probes (large M) use very few
+/// Grover iterations.
+constexpr double kTargetError = 1e-6;
+
 /// Computes the marked set (all k-plexes of size >= T) with the requested
 /// backend, together with the per-call oracle cost model.
 struct OracleEvaluation {
@@ -143,18 +150,19 @@ Result<QtkpResult> RunQtkp(const Graph& graph, int k, int threshold,
     return result;  // found == false
   }
 
-  // Known-M schedule (quantum counting gives M; in simulation it is exact).
+  // Known-M schedule: the simulation uses the exact marked count where the
+  // paper assumes quantum counting.
   result.iterations = OptimalGroverIterations(n, result.num_solutions);
   // Retry budget: enough verified attempts to push the residual failure
-  // probability below target_error (the paper's "run c times" argument).
+  // probability below kTargetError (the paper's "run c times" argument).
   int attempt_budget = options.max_attempts;
   if (result.num_solutions > 0) {
     const double single_error = 1.0 - TheoreticalSuccessProbability(
                                           n, result.num_solutions,
                                           result.iterations);
-    if (single_error > 0 && options.target_error > 0) {
-      const int needed = static_cast<int>(std::ceil(
-          std::log(options.target_error) / std::log(single_error)));
+    if (single_error > 0) {
+      const int needed = static_cast<int>(
+          std::ceil(std::log(kTargetError) / std::log(single_error)));
       // At least max_attempts, and capped at 64 — unless the caller asked
       // for more than 64, which raises the cap (std::clamp requires
       // lo <= hi, so clamping to a fixed 64 is UB for max_attempts > 64).

@@ -43,8 +43,6 @@ struct MilpSolverOptions {
   /// Optional cooperative cancellation; polled with the deadline at every
   /// branch-and-bound node. May be null.
   const CancelToken* cancel = nullptr;
-  /// Integrality tolerance for classifying LP values.
-  double integrality_tolerance = 1e-6;
   /// Optional primal heuristic: given a node's (fractional) LP solution,
   /// construct a feasible integer point. Returns true on success and fills
   /// the full solution vector + objective. The QUBO linearization supplies a

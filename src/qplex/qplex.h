@@ -15,7 +15,7 @@
 ///   arith/     reversible adders / comparators / popcount circuit builders
 ///   oracle/    the qTKP decision oracle (graph encoding -> degree count ->
 ///              degree compare -> size check -> uncompute)
-///   grover/    Grover engine, qTKP, qMKP, BBHT, qMaxClique
+///   grover/    Grover simulation, qTKP, qMKP, BBHT, qMaxClique
 ///   qubo/      QUBO model + the qaMKP slack-encoded formulation
 ///   anneal/    simulated annealing, path-integral (quantum) annealing,
 ///              hybrid portfolio solver
@@ -59,7 +59,6 @@
 #include "graph/io.h"
 #include "graph/kplex.h"
 #include "embed/clique_template.h"
-#include "grover/counting.h"
 #include "grover/engine.h"
 #include "grover/full_circuit.h"
 #include "grover/qmkp.h"
@@ -85,8 +84,6 @@
 #include "quantum/statevector.h"
 #include "qubo/mkp_qubo.h"
 #include "qubo/qubo_model.h"
-#include "relax/club.h"
-#include "relax/club_oracle.h"
 #include "resilience/breaker.h"
 #include "resilience/fault_injection.h"
 #include "resilience/health.h"

@@ -23,14 +23,6 @@ QubitRange Circuit::AllocateAncilla(const std::string& hint, int width) {
                           width);
 }
 
-Result<QubitRange> Circuit::FindRegister(const std::string& name) const {
-  const auto it = registers_.find(name);
-  if (it == registers_.end()) {
-    return Status::NotFound("no register named " + name);
-  }
-  return it->second;
-}
-
 int Circuit::BeginStage(const std::string& name) {
   for (std::size_t i = 0; i < stage_names_.size(); ++i) {
     if (stage_names_[i] == name) {
@@ -58,18 +50,6 @@ void Circuit::Append(Gate gate) {
   gates_.push_back(std::move(gate));
 }
 
-void Circuit::AppendCircuit(const Circuit& other) {
-  QPLEX_CHECK(other.num_qubits() <= num_qubits_)
-      << "appended circuit uses more wires than available";
-  for (const Gate& gate : other.gates_) {
-    Append(gate);
-  }
-}
-
-void Circuit::AppendInverseOfSuffix(int first_gate) {
-  AppendInverseOfRange(first_gate, num_gates());
-}
-
 void Circuit::AppendInverseOfRange(int first_gate, int last_gate) {
   QPLEX_CHECK(first_gate >= 0 && first_gate <= last_gate &&
               last_gate <= num_gates())
@@ -93,14 +73,6 @@ void Circuit::PrependGates(const std::vector<Gate>& gates) {
   gates_.insert(gates_.begin(), validated.begin(), validated.end());
 }
 
-std::vector<int> Circuit::GateCountsByStage() const {
-  std::vector<int> counts(stage_names_.size(), 0);
-  for (const Gate& gate : gates_) {
-    ++counts[gate.stage];
-  }
-  return counts;
-}
-
 std::vector<std::int64_t> Circuit::CostsByStage() const {
   std::vector<std::int64_t> costs(stage_names_.size(), 0);
   for (const Gate& gate : gates_) {
@@ -115,14 +87,6 @@ std::int64_t Circuit::TotalCost() const {
     total += gate.Cost();
   }
   return total;
-}
-
-int Circuit::NumClassicalGates() const {
-  int count = 0;
-  for (const Gate& gate : gates_) {
-    count += gate.IsClassical();
-  }
-  return count;
 }
 
 std::string Circuit::ToString() const {

@@ -1,6 +1,5 @@
 #include "svc/registry.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/status.h"
@@ -44,25 +43,6 @@ Status SolverRegistry::SetFallback(std::string_view name,
 const std::string* SolverRegistry::Fallback(std::string_view name) const {
   const auto it = fallbacks_.find(name);
   return it == fallbacks_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> SolverRegistry::FallbackChain(
-    std::string_view name) const {
-  std::vector<std::string> chain;
-  std::string current(name);
-  while (true) {
-    const std::string* next = Fallback(current);
-    if (next == nullptr) {
-      break;
-    }
-    if (*next == name ||
-        std::find(chain.begin(), chain.end(), *next) != chain.end()) {
-      break;  // configured chains may link into a cycle; stop at the repeat
-    }
-    chain.push_back(*next);
-    current = *next;
-  }
-  return chain;
 }
 
 std::vector<std::string> SolverRegistry::Names() const {

@@ -43,11 +43,6 @@ class SolverRegistry {
   /// The fallback registered for `name`, or nullptr when it has none.
   const std::string* Fallback(std::string_view name) const;
 
-  /// The full degradation chain starting at (and excluding) `name`, in hop
-  /// order. Cycle-guarded: a linked chain that loops back onto a visited
-  /// backend is truncated at the repeat, matching the scheduler's walk.
-  std::vector<std::string> FallbackChain(std::string_view name) const;
-
  private:
   std::map<std::string, std::unique_ptr<Solver>, std::less<>> solvers_;
   std::map<std::string, std::string, std::less<>> fallbacks_;

@@ -84,26 +84,31 @@ TEST(GraphTest, ComplementInvolution) {
   }
 }
 
-TEST(GraphTest, InducedSubgraph) {
-  Graph graph = CompleteGraph(5);
-  VertexBitset keep(5);
-  keep.Set(0);
-  keep.Set(2);
-  keep.Set(4);
-  std::vector<Vertex> mapping;
-  Graph sub = graph.InducedSubgraph(keep, &mapping);
-  EXPECT_EQ(sub.num_vertices(), 3);
-  EXPECT_EQ(sub.num_edges(), 3);
-  EXPECT_EQ(mapping[0], 0);
-  EXPECT_EQ(mapping[1], -1);
-  EXPECT_EQ(mapping[2], 1);
-  EXPECT_EQ(mapping[4], 2);
-}
-
 TEST(GraphTest, MakeGraphValidation) {
   EXPECT_FALSE(MakeGraph(3, {{0, 3}}).ok());
   EXPECT_FALSE(MakeGraph(3, {{1, 1}}).ok());
   EXPECT_TRUE(MakeGraph(3, {{0, 1}, {1, 2}}).ok());
+}
+
+TEST(GraphTest, MakeGraphRefusesOversizedVertexCount) {
+  // Refused before any adjacency is allocated: 400000 vertices would need
+  // ~20 GB of dense rows.
+  const Result<Graph> huge = MakeGraph(400000, {});
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(huge.status().message().find("400000"), std::string::npos);
+  EXPECT_NE(huge.status().message().find(std::to_string(kMaxVertices)),
+            std::string::npos);
+  EXPECT_FALSE(MakeGraph(kMaxVertices + 1, {}).ok());
+  const Result<Graph> at_cap = MakeGraph(kMaxVertices, {{0, 1}});
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_EQ(at_cap.value().num_vertices(), kMaxVertices);
+
+  // The edge-list and DIMACS parsers build through MakeGraph too.
+  EXPECT_EQ(ParseEdgeList("400000\n0 1\n").status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(ParseDimacs("p edge 400000 1\ne 1 2\n").status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(GraphTest, DegreeIn) {
@@ -356,9 +361,6 @@ TEST(VertexBitsetTest, WordOpsAndTailMasking) {
   VertexBitset or_result = set;
   or_result.OrWith(other);
   EXPECT_EQ(or_result.ToList(), (VertexList{3, 65, 68}));
-  VertexBitset and_result = set;
-  and_result.AndWith(other);
-  EXPECT_EQ(and_result.ToList(), (VertexList{3}));
   VertexBitset andnot_result = set;
   andnot_result.AndNotWith(other);
   EXPECT_EQ(andnot_result.ToList(), (VertexList{68}));

@@ -348,6 +348,47 @@ TEST(ServeSocketTest, FileInputIsRefusedAndConnectionSurvives) {
             std::vector<std::string>{"inline"});
 }
 
+TEST(ServeSocketTest, OversizedGraphEarnsErrorAndConnectionSurvives) {
+  // An edgeless 400000-vertex graph would need ~20 GB of dense adjacency;
+  // MakeGraph refuses it before allocating, so only this request fails.
+  const std::filesystem::path dir = TempDir("oversized_graph");
+  ServeProcess serve(dir);
+  ASSERT_GT(serve.port(), 0) << ReadFile(dir / "serve.err");
+
+  Result<int> fd = net::ConnectLoopback(serve.port());
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  net::FrameSplitter splitter;
+  ASSERT_TRUE(SendAll(fd.value(),
+                      "{\"id\":\"big\",\"algorithm\":\"grasp\",\"k\":2,"
+                      "\"graph\":{\"n\":400000}}\n")
+                  .ok());
+  Result<std::string> error = ReadLine(fd.value(), splitter);
+  ASSERT_TRUE(error.ok()) << error.status();
+  Result<obs::JsonValue> parsed = obs::JsonValue::Parse(error.value());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().Find("status")->AsString(), "ResourceExhausted")
+      << error.value();
+  EXPECT_NE(parsed.value().Find("error")->AsString().find("400000"),
+            std::string::npos)
+      << error.value();
+
+  ASSERT_TRUE(
+      SendAll(fd.value(), std::string("{\"id\":\"after\",\"k\":2,"
+                                      "\"backend\":\"grasp\",\"graph\":") +
+                              kBlockGraph + "}\n")
+          .ok());
+  Result<std::string> response = ReadLine(fd.value(), splitter);
+  ASSERT_TRUE(response.ok()) << response.status();
+  parsed = obs::JsonValue::Parse(response.value());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().Find("label")->AsString(), "after");
+  EXPECT_EQ(parsed.value().Find("status")->AsString(), "OK");
+  EXPECT_EQ(parsed.value().Find("size")->AsInt(), 4);
+
+  net::CloseFd(fd.value());
+  EXPECT_EQ(serve.Stop(), 0);
+}
+
 TEST(ServeSocketTest, HealthRequestAnsweredInPlaceAndNeverJournaled) {
   const std::filesystem::path dir = TempDir("health");
   ServeProcess serve(dir, "--breaker-threshold 2 --breaker-cooldown 4");

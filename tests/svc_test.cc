@@ -28,6 +28,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/io.h"
+#include "graph/kplex.h"
 #include "obs/analysis.h"
 #include "obs/events.h"
 #include "obs/json.h"
@@ -245,6 +246,99 @@ TEST(RegistryTest, MalformedOptionFailsTheJob) {
       registry.Get("grasp")->Solve(request, SolveContext{});
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Differential check over every registered backend: each answer is a valid
+// k-plex whose size matches its member list, a provably optimal answer equals
+// the enumeration optimum, and the same request twice gives the same answer.
+void ExpectValidPlex(const Graph& graph, int k, const MkpSolution& solution,
+                     const std::string& backend) {
+  EXPECT_EQ(solution.size, static_cast<int>(solution.members.size()))
+      << backend;
+  EXPECT_TRUE(std::is_sorted(solution.members.begin(),
+                             solution.members.end()))
+      << backend;
+  EXPECT_EQ(std::adjacent_find(solution.members.begin(),
+                               solution.members.end()),
+            solution.members.end())
+      << backend;
+  for (Vertex v : solution.members) {
+    ASSERT_TRUE(v >= 0 && v < graph.num_vertices()) << backend << ": " << v;
+  }
+  EXPECT_TRUE(IsKPlex(graph,
+                      VertexBitset::FromList(graph.num_vertices(),
+                                             solution.members),
+                      k))
+      << backend;
+}
+
+class BackendDifferentialTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BackendDifferentialTest, EveryBackendValidOptimalAndReproducible) {
+  const std::uint64_t seed = GetParam();
+  const SolverRegistry registry = MakeBuiltinRegistry();
+  SolveRequest request;
+  request.graph = RandomGnm(8, 15, seed).value();
+  request.k = 2;
+  request.seed = seed;
+  const int truth = SolveMkpByEnumeration(request.graph, request.k).value().size;
+  for (const std::string& name : registry.Names()) {
+    request.backend = name;
+    const Result<SolveOutcome> first =
+        registry.Get(name)->Solve(request, SolveContext{});
+    ASSERT_TRUE(first.ok()) << name << ": " << first.status();
+    const MkpSolution& answer = first.value().solution;
+    ExpectValidPlex(request.graph, request.k, answer, name);
+    EXPECT_LE(answer.size, truth) << name;
+    if (first.value().provably_optimal) {
+      EXPECT_EQ(answer.size, truth) << name;
+    }
+    const Result<SolveOutcome> again =
+        registry.Get(name)->Solve(request, SolveContext{});
+    ASSERT_TRUE(again.ok()) << name << ": " << again.status();
+    EXPECT_EQ(again.value().solution.members, answer.members) << name;
+    EXPECT_EQ(again.value().provably_optimal, first.value().provably_optimal)
+        << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BackendDifferentialTest,
+                         ::testing::Values(11, 22, 33));
+
+TEST(WideGraphBackendTest, BsOptimalGraspBoundedMaskBackendsReject) {
+  // n = 70 takes the multi-word BitGraph engine. The mask-indexed backends
+  // (enumeration, the Grover searches) cannot represent it and must say so
+  // with a Status rather than crash.
+  const SolverRegistry registry = MakeBuiltinRegistry();
+  SolveRequest request;
+  request.graph = PlantedKPlex(70, 12, 2, 0.15, 7).value();
+  request.k = 2;
+  request.seed = 7;
+  const MkpSolution optimum = BsSolver().Solve(request.graph, request.k).value();
+  ASSERT_GE(optimum.size, 12);
+
+  request.backend = "bs";
+  const Result<SolveOutcome> bs =
+      registry.Get("bs")->Solve(request, SolveContext{});
+  ASSERT_TRUE(bs.ok()) << bs.status();
+  ExpectValidPlex(request.graph, request.k, bs.value().solution, "bs");
+  EXPECT_EQ(bs.value().solution.size, optimum.size);
+  EXPECT_TRUE(bs.value().provably_optimal);
+
+  request.backend = "grasp";
+  const Result<SolveOutcome> grasp =
+      registry.Get("grasp")->Solve(request, SolveContext{});
+  ASSERT_TRUE(grasp.ok()) << grasp.status();
+  ExpectValidPlex(request.graph, request.k, grasp.value().solution, "grasp");
+  EXPECT_LE(grasp.value().solution.size, optimum.size);
+
+  for (const char* name : {"enum", "qtkp", "qmkp"}) {
+    request.backend = name;
+    const Result<SolveOutcome> rejected =
+        registry.Get(name)->Solve(request, SolveContext{});
+    EXPECT_FALSE(rejected.ok()) << name;
+  }
 }
 
 class SchedulerTest : public ::testing::Test {
