@@ -16,12 +16,6 @@ Result<QmkpResult> RunQmkp(const Graph& graph, int k,
   obs::TraceSpan span("qmkp");
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("qmkp.runs").Increment();
-  obs::Series& threshold_trajectory =
-      registry.GetSeries("qmkp.threshold_trajectory");
-  obs::Series& best_size_trajectory =
-      registry.GetSeries("qmkp.best_size_trajectory");
-  obs::Series& success_trajectory =
-      registry.GetSeries("qmkp.success_probability_trajectory");
   Stopwatch watch;
 
   const int n = graph.num_vertices();
@@ -38,7 +32,6 @@ Result<QmkpResult> RunQmkp(const Graph& graph, int k,
   int probe_index = 0;
   while (low <= high) {
     const int mid = low + (high - low) / 2;
-    threshold_trajectory.Append(mid);
     // Decorrelate the probes' measurement randomness.
     probe_options.seed = options.seed + 0x9e3779b97f4a7c15ULL *
                                             static_cast<std::uint64_t>(
@@ -94,8 +87,6 @@ Result<QmkpResult> RunQmkp(const Graph& graph, int k,
       high = mid - 1;
     }
     result.probes.push_back(probe);
-    best_size_trajectory.Append(result.best_size);
-    success_trajectory.Append(1.0 - probe.error_probability);
     // Probes are O(log n) per run, so every one is worth a line: this is the
     // live view of the paper's progressive-search claim.
     if (obs::EventsEnabled()) {

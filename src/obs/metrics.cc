@@ -25,16 +25,6 @@ void AtomicMin(std::atomic<double>* target, double value) {
 
 }  // namespace
 
-void Gauge::Set(double value) {
-  value_.store(value, kRelaxed);
-  bool had_value = has_value_.exchange(true, kRelaxed);
-  if (!had_value) {
-    // First write races are benign: both writers then run AtomicMax.
-    max_.store(value, kRelaxed);
-  }
-  AtomicMax(&max_, value);
-}
-
 void Gauge::InstallFirstValue(double value) {
   // Exactly one writer installs the first value; the rest spin (nanoseconds:
   // the winner's store is the next instruction) until it is visible. A plain
@@ -42,7 +32,6 @@ void Gauge::InstallFirstValue(double value) {
   // false minimum for SetMin — so unlike Set() the install must be ordered.
   if (!init_claimed_.exchange(true, std::memory_order_acq_rel)) {
     value_.store(value, kRelaxed);
-    max_.store(value, kRelaxed);
     has_value_.store(true, std::memory_order_release);
   } else {
     while (!has_value_.load(std::memory_order_acquire)) {
@@ -53,18 +42,15 @@ void Gauge::InstallFirstValue(double value) {
 void Gauge::SetMin(double value) {
   InstallFirstValue(value);
   AtomicMin(&value_, value);
-  AtomicMax(&max_, value);
 }
 
 void Gauge::SetMax(double value) {
   InstallFirstValue(value);
   AtomicMax(&value_, value);
-  AtomicMax(&max_, value);
 }
 
 void Gauge::Reset() {
   value_.store(0, kRelaxed);
-  max_.store(0, kRelaxed);
   has_value_.store(false, kRelaxed);
   init_claimed_.store(false, kRelaxed);
 }
@@ -159,49 +145,6 @@ void Histogram::Reset() {
   max_.store(0, kRelaxed);
 }
 
-void Series::Append(double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++total_appends_;
-  // Honour the decimation stride: only every stride_-th append is stored.
-  if ((total_appends_ - 1) % stride_ != 0) {
-    return;
-  }
-  values_.push_back(value);
-  if (values_.size() >= capacity_) {
-    // Drop every other stored point and double the stride; the stored points
-    // stay uniformly spaced over the whole history.
-    std::vector<double> kept;
-    kept.reserve(values_.size() / 2 + 1);
-    for (std::size_t i = 0; i < values_.size(); i += 2) {
-      kept.push_back(values_[i]);
-    }
-    values_ = std::move(kept);
-    stride_ *= 2;
-  }
-}
-
-std::vector<double> Series::Values() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return values_;
-}
-
-std::int64_t Series::TotalAppends() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_appends_;
-}
-
-std::int64_t Series::Stride() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stride_;
-}
-
-void Series::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  values_.clear();
-  total_appends_ = 0;
-  stride_ = 1;
-}
-
 namespace {
 
 /// Find-or-create into a node-stable map; generic over the metric type.
@@ -232,11 +175,6 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
   return FindOrCreate(&histograms_, name);
 }
 
-Series& MetricsRegistry::GetSeries(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return FindOrCreate(&series_, name);
-}
-
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, counter] : counters_) {
@@ -247,9 +185,6 @@ void MetricsRegistry::Reset() {
   }
   for (auto& [name, histogram] : histograms_) {
     histogram->Reset();
-  }
-  for (auto& [name, series] : series_) {
-    series->Reset();
   }
 }
 
@@ -264,9 +199,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   for (const auto& [name, histogram] : histograms_) {
     snapshot.histograms.emplace_back(name, histogram->Snapshot());
-  }
-  for (const auto& [name, series] : series_) {
-    snapshot.series.emplace_back(name, series->Values());
   }
   return snapshot;
 }

@@ -28,11 +28,10 @@ class Counter {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Last-written double value (plus a running max, useful for peaks like
-/// "largest success probability seen").
+/// Last-written double value.
 class Gauge {
  public:
-  void Set(double value);
+  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
   /// Ordered reductions: keep the smallest / largest value ever set. Unlike
   /// Set(), the final value is independent of writer interleaving, so
   /// concurrently finishing jobs (portfolio racers, batch workers) can all
@@ -41,7 +40,6 @@ class Gauge {
   void SetMin(double value);
   void SetMax(double value);
   double Get() const { return value_.load(std::memory_order_relaxed); }
-  double Max() const { return max_.load(std::memory_order_relaxed); }
   void Reset();
 
  private:
@@ -50,7 +48,6 @@ class Gauge {
   void InstallFirstValue(double value);
 
   std::atomic<double> value_{0};
-  std::atomic<double> max_{0};
   std::atomic<bool> has_value_{false};
   std::atomic<bool> init_claimed_{false};
 };
@@ -105,40 +102,11 @@ class Histogram {
   std::atomic<double> max_{0};
 };
 
-/// Append-only sequence of doubles — trajectories (binary-search thresholds,
-/// best-energy-so-far curves). Mutex-guarded: appends happen at solver-probe
-/// granularity, not in inner loops. Long series are decimated: once
-/// `capacity` points are stored, every other one is dropped and the append
-/// stride doubles, keeping a uniformly spaced sketch of bounded size.
-class Series {
- public:
-  explicit Series(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity < 2 ? 2 : capacity) {}
-
-  void Append(double value);
-  std::vector<double> Values() const;
-  /// Total appends (>= stored size once decimation kicks in).
-  std::int64_t TotalAppends() const;
-  /// Current append stride (1 until the first decimation).
-  std::int64_t Stride() const;
-  void Reset();
-
-  static constexpr std::size_t kDefaultCapacity = 4096;
-
- private:
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::vector<double> values_;
-  std::int64_t total_appends_ = 0;
-  std::int64_t stride_ = 1;
-};
-
 /// Name-addressed snapshot of a whole registry, ordered by metric name.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::int64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
-  std::vector<std::pair<std::string, std::vector<double>>> series;
 };
 
 /// Owns named metrics. Lookup takes a mutex (callers are expected to look up
@@ -154,7 +122,6 @@ class MetricsRegistry {
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name);
   Histogram& GetHistogram(std::string_view name);
-  Series& GetSeries(std::string_view name);
 
   /// Zeroes every metric (references handed out remain valid).
   void Reset();
@@ -170,7 +137,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::map<std::string, std::unique_ptr<Series>, std::less<>> series_;
 };
 
 }  // namespace qplex::obs

@@ -99,13 +99,6 @@ std::string RenderOpenMetrics(const MetricsSnapshot& snapshot) {
     out += family + "_sum " + FormatDouble(hist.sum) + "\n";
     out += family + "_count " + FormatInt(hist.count) + "\n";
   }
-  if (!snapshot.series.empty()) {
-    out += "# TYPE qplex_series_points gauge\n";
-    for (const auto& [name, values] : snapshot.series) {
-      out += "qplex_series_points{series=\"" + std::string(name) + "\"} " +
-             FormatInt(static_cast<std::int64_t>(values.size())) + "\n";
-    }
-  }
   out += "# EOF\n";
   return out;
 }

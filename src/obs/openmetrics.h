@@ -23,9 +23,6 @@ std::string OpenMetricsName(std::string_view name);
 ///   - histograms-> cumulative `_bucket{le="..."}` samples (le = the bucket's
 ///                  exclusive upper bound, then `le="+Inf"`), plus `_sum` and
 ///                  `_count`
-///   - series    -> one `qplex_series_points` gauge family with a
-///                  `series="<name>"` label per series (point counts; the
-///                  values themselves live in run reports)
 ///
 /// ends with the mandatory `# EOF` terminator. Doubles print with %.17g so a
 /// write -> parse round trip is exact.

@@ -88,16 +88,6 @@ JsonValue RunReport::ToJson() const {
   }
   json.Set("histograms", std::move(histograms));
 
-  JsonValue series = JsonValue::Object();
-  for (const auto& [name, values] : metrics_.series) {
-    JsonValue points = JsonValue::Array();
-    for (const double value : values) {
-      points.Append(value);
-    }
-    series.Set(name, std::move(points));
-  }
-  json.Set("series", std::move(series));
-
   json.Set("trace", TraceToJson(trace_));
   return json;
 }
@@ -147,18 +137,6 @@ std::string RunReport::ToPrettyString() const {
                               FormatDouble(snapshot.max, 4)});
     }
     histogram_table.Print(out);
-    out << "\n";
-  }
-
-  if (!metrics_.series.empty()) {
-    AsciiTable series_table({"series", "points", "first", "last"});
-    for (const auto& [name, values] : metrics_.series) {
-      series_table.AddRow(
-          {name, std::to_string(values.size()),
-           values.empty() ? "-" : FormatDouble(values.front(), 4),
-           values.empty() ? "-" : FormatDouble(values.back(), 4)});
-    }
-    series_table.Print(out);
     out << "\n";
   }
 

@@ -13,7 +13,7 @@
 namespace qplex::obs {
 
 /// A structured, machine-readable record of one solver or bench run: free-form
-/// metadata, a metrics snapshot (counters / gauges / histograms / series) and
+/// metadata, a metrics snapshot (counters / gauges / histograms) and
 /// the nested span-timing tree. Exported as JSON (schema below) or as
 /// AsciiTable text for humans.
 ///
@@ -26,7 +26,6 @@ namespace qplex::obs {
 ///     "histograms": { "<metric>": {"count","sum","min","max","mean",
 ///                                  "p50","p90","p99",
 ///                                  "buckets": [[lower_bound, count], ...]} },
-///     "series":     { "<metric>": [<double>, ...], ... },
 ///     "trace":      { "name","count","total_seconds","children":[...] }
 ///   }
 class RunReport {
@@ -51,8 +50,8 @@ class RunReport {
     return ToJson().Dump(indent);
   }
 
-  /// Human-readable rendering: metadata, counter/gauge tables, histogram and
-  /// series summaries, and the indented trace tree.
+  /// Human-readable rendering: metadata, counter/gauge tables, histogram
+  /// summaries, and the indented trace tree.
   std::string ToPrettyString() const;
 
   /// Writes the JSON form (pretty, trailing newline) to `path`; "-" writes

@@ -121,8 +121,8 @@ class MkpOracle {
 };
 
 /// The semantic reference the circuit must agree with: subset `mask` is a
-/// k-plex of `graph` with at least `threshold` vertices. Used for
-/// cross-validation and as the fast oracle backend for large shot counts.
+/// k-plex of `graph` with at least `threshold` vertices. Only the oracle
+/// tests call it; RunQtkp's predicate backend runs its own IsKPlexMask loop.
 bool MkpPredicate(const Graph& graph, int k, int threshold,
                   std::uint64_t mask);
 

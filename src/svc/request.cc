@@ -18,6 +18,19 @@ Status FieldError(const std::string& field, const std::string& problem,
                                  std::to_string(line_number));
 }
 
+/// Names the request line on an error from a callee, keeping its code.
+Status AtLine(const Status& status, int line_number) {
+  return Status(status.code(),
+                status.message() + " at line " + std::to_string(line_number));
+}
+
+Result<Graph> AtLine(Result<Graph> graph, int line_number) {
+  if (!graph.ok()) {
+    return AtLine(graph.status(), line_number);
+  }
+  return graph;
+}
+
 /// Reads an integer field that must lie in [0, max]: the range check every
 /// narrowing cast below relies on, so an out-of-range value is rejected
 /// instead of silently wrapping into a different question.
@@ -67,7 +80,7 @@ Result<Graph> ParseInlineGraph(const obs::JsonValue& spec, int line_number) {
       edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
     }
   }
-  return MakeGraph(static_cast<int>(num_vertices), edges);
+  return AtLine(MakeGraph(static_cast<int>(num_vertices), edges), line_number);
 }
 
 Result<Graph> LoadRequestGraph(const obs::JsonValue& line, int line_number,
@@ -92,10 +105,9 @@ Result<Graph> LoadRequestGraph(const obs::JsonValue& line, int line_number,
   }
   const Result<GraphParser> parse = GraphFormatParser(format);
   if (!parse.ok()) {
-    return Status::InvalidArgument(parse.status().message() + " at line " +
-                                   std::to_string(line_number));
+    return AtLine(parse.status(), line_number);
   }
-  return LoadGraphFile(input->AsString(), parse.value());
+  return AtLine(LoadGraphFile(input->AsString(), parse.value()), line_number);
 }
 
 }  // namespace

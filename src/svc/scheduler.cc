@@ -15,6 +15,7 @@
 #include "obs/trace.h"
 #include "resilience/fault_injection.h"
 #include "svc/graph_hash.h"
+#include "svc/request.h"
 
 namespace qplex::svc {
 namespace {
@@ -34,17 +35,6 @@ std::string JoinBackends(const std::vector<std::string>& backends) {
       joined += "+";
     }
     joined += name;
-  }
-  return joined;
-}
-
-std::string MembersToString(const VertexList& members) {
-  std::string joined;
-  for (Vertex v : members) {
-    if (!joined.empty()) {
-      joined += " ";
-    }
-    joined += std::to_string(v);
   }
   return joined;
 }

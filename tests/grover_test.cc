@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "classical/exact.h"
 #include "graph/generators.h"
@@ -9,6 +15,8 @@
 #include "grover/engine.h"
 #include "grover/qmkp.h"
 #include "grover/qtkp.h"
+#include "obs/events.h"
+#include "obs/json.h"
 #include "quantum/statevector.h"
 
 namespace qplex {
@@ -279,6 +287,54 @@ TEST(QmkpTest, ProgressCallbackSeesEveryProbe) {
           .value();
   EXPECT_EQ(calls, static_cast<int>(result.probes.size()));
   EXPECT_GT(feasible_seen, 0);
+}
+
+TEST(QmkpTest, ProbeEventsRecordTheSearchPath) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "qplex_grover_test";
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path path = dir / "qmkp_probes.jsonl";
+  Result<std::unique_ptr<obs::EventSink>> sink =
+      obs::EventSink::Open(path.string());
+  ASSERT_TRUE(sink.ok()) << sink.status();
+  obs::EventSink::InstallGlobal(sink.value().get());
+  QtkpOptions options;
+  options.seed = 11;
+  const Result<QmkpResult> run = RunQmkp(PaperExampleGraph(), 2, options);
+  obs::EventSink::InstallGlobal(nullptr);
+  sink.value().reset();
+  ASSERT_TRUE(run.ok()) << run.status();
+  const QmkpResult& result = run.value();
+
+  std::vector<obs::JsonValue> probes;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    Result<obs::JsonValue> parsed = obs::JsonValue::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << " line: " << line;
+    if (parsed.value().Find("solver")->AsString() == "qmkp" &&
+        parsed.value().Find("event")->AsString() == "probe") {
+      probes.push_back(std::move(parsed).value());
+    }
+  }
+
+  // One event per probe, in search order, carrying the probe's record.
+  ASSERT_EQ(probes.size(), result.probes.size());
+  ASSERT_GE(probes.size(), 2u);
+  int best_size = 0;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const QmkpProbe& probe = result.probes[i];
+    const obs::JsonValue& event = probes[i];
+    best_size = std::max(best_size, probe.found_size);
+    EXPECT_EQ(event.Find("threshold")->AsInt(), probe.threshold) << i;
+    EXPECT_EQ(event.Find("feasible")->AsBool(), probe.feasible) << i;
+    EXPECT_EQ(event.Find("found_size")->AsInt(), probe.found_size) << i;
+    EXPECT_EQ(event.Find("best_size")->AsInt(), best_size) << i;
+    EXPECT_DOUBLE_EQ(event.Find("success_probability")->AsDouble(),
+                     1.0 - probe.error_probability)
+        << i;
+  }
+  EXPECT_EQ(best_size, result.best_size);
 }
 
 TEST(QmkpTest, ProbeCountLogarithmic) {

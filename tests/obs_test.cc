@@ -42,12 +42,19 @@ TEST(GaugeTest, TracksLastValueAndMax) {
   gauge.Set(3.5);
   gauge.Set(-1.0);
   EXPECT_DOUBLE_EQ(gauge.Get(), -1.0);
-  EXPECT_DOUBLE_EQ(gauge.Max(), 3.5);
   gauge.Reset();
   EXPECT_DOUBLE_EQ(gauge.Get(), 0.0);
-  gauge.Set(-7.0);
-  // After a reset the first Set seeds the max, even if negative.
-  EXPECT_DOUBLE_EQ(gauge.Max(), -7.0);
+  // SetMax keeps the largest value; the first one seeds the reduction, so a
+  // negative first value is not lost to the default 0.
+  gauge.SetMax(-7.0);
+  EXPECT_DOUBLE_EQ(gauge.Get(), -7.0);
+  gauge.SetMax(2.0);
+  gauge.SetMax(-3.0);
+  EXPECT_DOUBLE_EQ(gauge.Get(), 2.0);
+  gauge.Reset();
+  gauge.SetMin(5.0);
+  gauge.SetMin(9.0);
+  EXPECT_DOUBLE_EQ(gauge.Get(), 5.0);
 }
 
 // --- Histogram ---------------------------------------------------------------
@@ -128,34 +135,6 @@ TEST(HistogramTest, PercentilesAreOrderedAndBracketedByMinMax) {
   EXPECT_GE(p50, 250.0);
   EXPECT_LE(p50, 1000.0);
   EXPECT_GE(p99, 495.0);
-}
-
-// --- Series ------------------------------------------------------------------
-
-TEST(SeriesTest, AppendAndValues) {
-  Series series;
-  series.Append(1);
-  series.Append(2);
-  series.Append(3);
-  EXPECT_EQ(series.Values(), (std::vector<double>{1, 2, 3}));
-  EXPECT_EQ(series.TotalAppends(), 3);
-  EXPECT_EQ(series.Stride(), 1);
-}
-
-TEST(SeriesTest, DecimatesAtCapacity) {
-  Series series(/*capacity=*/8);
-  for (int i = 0; i < 100; ++i) {
-    series.Append(i);
-  }
-  EXPECT_EQ(series.TotalAppends(), 100);
-  EXPECT_GT(series.Stride(), 1);
-  const std::vector<double> values = series.Values();
-  ASSERT_LE(values.size(), 8u);
-  ASSERT_GE(values.size(), 2u);
-  // The sketch stays uniformly spaced and in order.
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    EXPECT_GT(values[i], values[i - 1]);
-  }
 }
 
 // --- Registry ----------------------------------------------------------------
@@ -530,8 +509,6 @@ TEST(RunReportTest, JsonRoundTripCarriesMetricsAndTrace) {
   registry.GetCounter("solver.calls").Add(7);
   registry.GetGauge("solver.best").Set(4.0);
   registry.GetHistogram("solver.cost").Record(100.0);
-  registry.GetSeries("solver.trajectory").Append(1.0);
-  registry.GetSeries("solver.trajectory").Append(2.0);
   {
     TraceSpan outer("solve", tracer);
     TraceSpan inner("probe", tracer);
@@ -559,10 +536,7 @@ TEST(RunReportTest, JsonRoundTripCarriesMetricsAndTrace) {
   EXPECT_DOUBLE_EQ(histogram->Find("p50")->AsDouble(), 100.0);
   EXPECT_DOUBLE_EQ(histogram->Find("p90")->AsDouble(), 100.0);
   EXPECT_DOUBLE_EQ(histogram->Find("p99")->AsDouble(), 100.0);
-  const JsonValue* series = json.Find("series")->Find("solver.trajectory");
-  ASSERT_NE(series, nullptr);
-  ASSERT_EQ(series->size(), 2u);
-  EXPECT_DOUBLE_EQ(series->at(1).AsDouble(), 2.0);
+  EXPECT_EQ(json.Find("series"), nullptr);
   const JsonValue* trace = json.Find("trace");
   ASSERT_NE(trace, nullptr);
   ASSERT_EQ(trace->Find("children")->size(), 1u);
@@ -783,8 +757,6 @@ TEST(OpenMetricsTest, RenderParsesBackAndRoundTripsEveryKind) {
   histogram.Record(0.5);
   histogram.Record(3.0);
   histogram.Record(3.5);
-  registry.GetSeries("anneal.energy").Append(1.0);
-  registry.GetSeries("anneal.energy").Append(2.0);
 
   const std::string text = RenderOpenMetrics(registry.Snapshot());
   const Result<OpenMetricsDoc> parsed = ParseOpenMetrics(text);
@@ -824,18 +796,6 @@ TEST(OpenMetricsTest, RenderParsesBackAndRoundTripsEveryKind) {
     }
   }
   EXPECT_DOUBLE_EQ(inf_bucket, 3.0);
-
-  // Series: exposed as a labeled point-count gauge.
-  bool series_seen = false;
-  for (const OpenMetricsSample& sample : doc.samples) {
-    if (sample.name == "qplex_series_points" &&
-        sample.FindLabel("series") != nullptr &&
-        *sample.FindLabel("series") == "anneal.energy") {
-      series_seen = true;
-      EXPECT_DOUBLE_EQ(sample.value, 2.0);
-    }
-  }
-  EXPECT_TRUE(series_seen);
 
   // And the whole exposition passes the CI checker.
   EXPECT_TRUE(CheckOpenMetrics(text).ok()) << CheckOpenMetrics(text);

@@ -388,6 +388,19 @@ TEST(ServeSmokeTest, MalformedInputsExitTwo) {
                              << R"("graph":{"n":2,"edges":[[0,1]]}})" << "\n";
   EXPECT_EQ(RunServe("--jobs " + bad_backend.string()), 2);
 
+  // A graph the request parser accepts but MakeGraph refuses still names
+  // the job file line it came from.
+  constexpr const char* kGoodGraph = R"("graph":{"n":2,"edges":[[0,1]]})";
+  const std::filesystem::path bad_edge = TempDir() / "bad_edge.jsonl";
+  std::ofstream(bad_edge) << R"({"id":"a","k":2,)" << kGoodGraph << "}\n"
+                          << R"({"id":"b","k":2,"graph":{"n":3,)"
+                          << R"("edges":[[0,7]]}})" << "\n";
+  const std::filesystem::path bad_edge_err = TempDir() / "bad_edge.err";
+  EXPECT_EQ(RunServe("--jobs " + bad_edge.string(), "", bad_edge_err.string()),
+            2);
+  EXPECT_NE(ReadFile(bad_edge_err).find("at line 2"), std::string::npos)
+      << ReadFile(bad_edge_err);
+
   EXPECT_EQ(RunServe("--jobs /nonexistent/batch.jsonl"), 2);
   EXPECT_EQ(RunServe(""), 2);                    // --jobs is required
   EXPECT_EQ(RunServe("--jobs x --workers 0"), 2);

@@ -147,6 +147,27 @@ TEST(RequestParseTest, RejectsValuesThatWouldNarrowOrWrap) {
                       "graph.edges[0]");
 }
 
+TEST(RequestParseTest, GraphConstructionErrorsNameTheLineAndKeepTheCode) {
+  struct Case {
+    std::string line;
+    StatusCode code;
+  };
+  const std::vector<Case> cases = {
+      {R"({"graph":{"n":3,"edges":[[0,7]]}})", StatusCode::kInvalidArgument},
+      {R"({"graph":{"n":400000}})", StatusCode::kResourceExhausted},
+      {R"({"input":"/nonexistent/qplex_graph.dimacs"})",
+       StatusCode::kNotFound},
+  };
+  for (const Case& c : cases) {
+    const Result<RequestSpec> parsed = ParseRequestLine(c.line, 7);
+    ASSERT_FALSE(parsed.ok()) << c.line;
+    EXPECT_EQ(parsed.status().code(), c.code) << parsed.status();
+    EXPECT_NE(parsed.status().message().find(" at line 7"),
+              std::string::npos)
+        << parsed.status();
+  }
+}
+
 TEST(GraphHashTest, CacheKeyCoversRequestFields) {
   SolveRequest request;
   request.graph = TwoBlockGraph();

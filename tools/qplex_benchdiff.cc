@@ -5,9 +5,9 @@
 //                   [--config rules.json] [--format markdown|ascii] [--all]
 //
 // Reports are flattened to scalar metrics (counters, gauges, histogram
-// count/sum/mean/min/max/p50/p90/p99, series points/first/last, trace span
-// count/total_seconds, numeric meta) and aligned by name. Each metric is
-// judged by the first matching rule ('*' globs, first match wins):
+// count/sum/mean/min/max/p50/p90/p99, trace span count/total_seconds, numeric
+// meta) and aligned by name. Each metric is judged by the first matching rule
+// ('*' globs, first match wins):
 //
 //   --config rules first, e.g. {"rules": [{"match": "*.oracle_calls",
 //                                          "action": "near",
@@ -186,21 +186,6 @@ Result<MetricMap> FlattenReport(const JsonValue& report,
         if (value != nullptr && value->is_number()) {
           metrics[prefix + key + "." + field] = MetricValue::FromJson(*value);
         }
-      }
-    }
-  }
-  if (const JsonValue* series = report.Find("series");
-      series != nullptr && series->is_object()) {
-    for (const auto& [key, points] : series->members()) {
-      if (!points.is_array()) {
-        continue;
-      }
-      metrics[prefix + key + ".points"] =
-          MetricValue::FromJson(static_cast<std::int64_t>(points.size()));
-      if (points.size() > 0) {
-        metrics[prefix + key + ".first"] = MetricValue::FromJson(points.at(0));
-        metrics[prefix + key + ".last"] =
-            MetricValue::FromJson(points.at(points.size() - 1));
       }
     }
   }
